@@ -23,7 +23,7 @@ import numpy as np
 from .data import (CIFAR10_MEAN, CIFAR10_STD, Dataset, load_cifar10,
                    make_blobs, normalize, split)
 from .errors import ConfigError
-from .finder import RangeTestConfig, range_test, suggest_lr
+from .finder import LRFinderTrace, RangeTestConfig, range_test, suggest_lr
 from .groups import (LayerGroupRates, default_partition, freeze_groups,
                      group_lr_at, head_model, partition_layers,
                      precompute_features)
@@ -44,7 +44,6 @@ __all__ = [
     "confusion",
     "predictions",
     "emit_report",
-    "parse_history_csv",
 ]
 
 
@@ -145,6 +144,28 @@ def predictions(model: Model, x: np.ndarray, batch_size: int = 256) -> np.ndarra
     return np.concatenate(preds)
 
 
+def run_range_test(cfg: BenchConfig, model: Model,
+                   train_ds: Dataset) -> LRFinderTrace:
+    """The configured range test on the training split, probing at
+    finder_batch, or at the training batch size when that is unset."""
+    return range_test(model, (train_ds.images, train_ds.labels), cfg.finder,
+                      rng_seed=cfg.train.seed,
+                      batch_size=cfg.finder_batch or cfg.train.batch_size)
+
+
+def finish_report(model: Model, valid_ds: Dataset, phases: list[PhaseResult],
+                  reached: bool, history: list[EpochRecord],
+                  eta_max: float | None = None) -> RunReport:
+    """RunReport of a finished run: the final model's validation confusion
+    matrix, with total_seconds summed over the phases."""
+    conf = confusion(predictions(model, valid_ds.images), valid_ds.labels,
+                     valid_ds.n_classes)
+    return RunReport(phases=phases,
+                     total_seconds=sum(p.wall_seconds for p in phases),
+                     confusion=conf, reached=reached, history=history,
+                     class_names=list(valid_ds.class_names), eta_max=eta_max)
+
+
 def run_conventional(cfg: BenchConfig,
                      data: tuple[Dataset, Dataset] | None = None) -> RunReport:
     """Fixed-rate baseline: lr1 until early stopping, then lr2 until early
@@ -180,13 +201,7 @@ def run_conventional(cfg: BenchConfig,
             target_accuracy=cfg.target_accuracy, weight_decay=0.0,
             history=history, epoch_offset=ep1)
     phases.append(PhaseResult("fixed_lr2", ep2, acc2, time.perf_counter() - start))
-
-    conf = confusion(predictions(model, valid_ds.images), valid_ds.labels,
-                     valid_ds.n_classes)
-    return RunReport(phases=phases,
-                     total_seconds=sum(p.wall_seconds for p in phases),
-                     confusion=conf, reached=reached, history=history,
-                     class_names=list(valid_ds.class_names))
+    return finish_report(model, valid_ds, phases, reached, history)
 
 
 def run_optimized(cfg: BenchConfig,
@@ -209,17 +224,14 @@ def run_optimized(cfg: BenchConfig,
     phases: list[PhaseResult] = []
 
     start = time.perf_counter()
-    probe_batch = cfg.finder_batch or cfg.train.batch_size
-    trace = range_test(model, (train_ds.images, train_ds.labels), cfg.finder,
-                       rng_seed=cfg.train.seed, batch_size=probe_batch)
-    eta_max = suggest_lr(trace)
+    eta_max = suggest_lr(run_range_test(cfg, model, train_ds))
     _, acc0 = evaluate(model, valid_ds.images, valid_ds.labels)
     phases.append(PhaseResult("range_test", 0, acc0, time.perf_counter() - start))
 
     start = time.perf_counter()
     freeze_groups(model, {"initial", "mid"})
-    train_cache = precompute_features(model, train_ds)
-    valid_cache = precompute_features(model, valid_ds)
+    train_cache = precompute_features(model, (train_ds.images, train_ds.labels))
+    valid_cache = precompute_features(model, (valid_ds.images, valid_ds.labels))
     head = head_model(model)
     sched2 = CosineCycleConfig(
         eta_max=eta_max, t0=batches_per_epoch(len(train_ds), cfg.train.batch_size),
@@ -251,13 +263,7 @@ def run_optimized(cfg: BenchConfig,
             target_accuracy=cfg.target_accuracy, history=history,
             epoch_offset=ep2)
     phases.append(PhaseResult("dlr_clm", ep3, acc3, time.perf_counter() - start))
-
-    conf = confusion(predictions(model, valid_ds.images), valid_ds.labels,
-                     valid_ds.n_classes)
-    return RunReport(phases=phases,
-                     total_seconds=sum(p.wall_seconds for p in phases),
-                     confusion=conf, reached=reached, history=history,
-                     class_names=list(valid_ds.class_names), eta_max=eta_max)
+    return finish_report(model, valid_ds, phases, reached, history, eta_max)
 
 
 def speedup(conventional, optimized) -> float:
@@ -285,6 +291,15 @@ def confusion(preds, labels, n_classes: int) -> np.ndarray:
     return counts
 
 
+def write_confusion_csv(path, class_names, counts: np.ndarray) -> None:
+    """Header ``class,<names>``, then one name-prefixed count row per true
+    class."""
+    with open(path, "w") as fh:
+        fh.write("class," + ",".join(class_names) + "\n")
+        for name, row in zip(class_names, counts):
+            fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
+
+
 def emit_report(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
     """Write {prefix}history.csv, {prefix}confusion.csv and
     {prefix}summary.txt under out_dir; returns the paths written.
@@ -306,10 +321,7 @@ def emit_report(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
     paths.append(hist_path)
 
     conf_path = out_dir / f"{prefix}confusion.csv"
-    with open(conf_path, "w") as fh:
-        fh.write("class," + ",".join(report.class_names) + "\n")
-        for name, row in zip(report.class_names, report.confusion):
-            fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
+    write_confusion_csv(conf_path, report.class_names, report.confusion)
     paths.append(conf_path)
 
     text_path = out_dir / f"{prefix}summary.txt"
@@ -326,18 +338,3 @@ def emit_report(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
     paths.append(text_path)
     return paths
 
-
-def parse_history_csv(path) -> list[EpochRecord]:
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        expected = "epoch,phase,lr,train_loss,valid_loss,valid_acc,seconds"
-        if header != expected:
-            raise ValueError(f"unexpected history header {header!r}")
-        for line in fh:
-            epoch, phase, lr, tl, vl, va, sec = line.rstrip("\n").split(",")
-            records.append(EpochRecord(
-                epoch=int(epoch), phase=phase, lr=float(lr),
-                train_loss=float(tl), valid_loss=float(vl),
-                valid_acc=float(va), seconds=float(sec)))
-    return records

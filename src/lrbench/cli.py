@@ -8,7 +8,7 @@ Subcommands:
   confusion      build a confusion matrix from a true/pred CSV
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 no usable range-test
-suggestion.
+suggestion, 5 training diverged (non-finite loss or activations).
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import (PhaseResult, RunReport, build_model, confusion,
-                    emit_report, load_bench_dataset, predictions,
-                    run_conventional, run_optimized, speedup)
+from .bench import (PhaseResult, build_model, confusion, emit_report,
+                    finish_report, load_bench_dataset, run_conventional,
+                    run_optimized, run_range_test, speedup,
+                    write_confusion_csv)
 from .config import build_bench_config, parse_config_file
 from .errors import ConfigError, DataError
-from .finder import NoDescentFound, range_test, suggest_lr, write_trace_csv
+from .finder import NoDescentFound, suggest_lr, write_trace_csv
 from .schedule import dump_schedule, lr_at, write_schedule_csv
 from .train import EarlyStopState, train_phase
 
@@ -78,8 +79,7 @@ def cmd_lr_find(args) -> None:
     cfg = _bench_config(args)
     train_ds, _ = load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
-    trace = range_test(model, (train_ds.images, train_ds.labels), cfg.finder,
-                       rng_seed=cfg.train.seed, batch_size=cfg.train.batch_size)
+    trace = run_range_test(cfg, model, train_ds)
     trace_path = _out_dir(args) / "finder_trace.csv"
     with open(trace_path, "w") as fh:
         write_trace_csv(trace, fh)
@@ -101,12 +101,8 @@ def cmd_train(args) -> None:
         max_epochs=cfg.train.max_epochs,
         stopper=EarlyStopState(cfg.patience, cfg.min_delta),
         target_accuracy=cfg.target_accuracy, history=history)
-    wall = time.perf_counter() - start
-    conf = confusion(predictions(model, valid_ds.images), valid_ds.labels,
-                     valid_ds.n_classes)
-    report = RunReport(phases=[PhaseResult("sgdr", epochs, acc, wall)],
-                       total_seconds=wall, confusion=conf, reached=reached,
-                       history=history, class_names=list(valid_ds.class_names))
+    phases = [PhaseResult("sgdr", epochs, acc, time.perf_counter() - start)]
+    report = finish_report(model, valid_ds, phases, reached, history)
     for path in emit_report(report, _out_dir(args)):
         print(f"wrote {path}")
     print(f"valid_acc: {acc:.4f} after {epochs} epochs "
@@ -164,12 +160,8 @@ def cmd_confusion(args) -> None:
     preds = np.array([p[1] for p in pairs])
     n_classes = int(max(labels.max(), preds.max())) + 1
     conf = confusion(preds, labels, n_classes)
-    names = [f"c{i}" for i in range(n_classes)]
     path = _out_dir(args) / "confusion.csv"
-    with open(path, "w") as fh:
-        fh.write("class," + ",".join(names) + "\n")
-        for name, row in zip(names, conf):
-            fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
+    write_confusion_csv(path, [f"c{i}" for i in range(n_classes)], conf)
     acc = float(np.trace(conf)) / float(conf.sum())
     print(f"wrote {path}")
     print(f"accuracy: {acc:.6f} over {len(pairs)} samples")
@@ -197,6 +189,9 @@ def run(argv=None) -> int:
     except NoDescentFound as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
+    except FloatingPointError as err:
+        print(f"error: training diverged: {err}", file=sys.stderr)
+        return 5
     except DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

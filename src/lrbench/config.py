@@ -28,42 +28,48 @@ def _bool(value) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
-# key -> caster; this doubles as the list of documented config keys
-CONFIG_KEYS = {
-    "dataset": str,
-    "model": str,
-    "precision": str,
-    "seed": int,
-    "batch_size": int,
-    "momentum": float,
-    "weight_decay": float,
-    "max_epochs": int,
-    "augment": _bool,
-    "eta_max": float,
-    "eta_min": float,
-    "t0": int,
-    "mult": int,
-    "rate_initial": float,
-    "rate_mid": float,
-    "rate_final": float,
-    "finder_lo": float,
-    "finder_hi": float,
-    "finder_steps": int,
-    "finder_beta": float,
-    "finder_divergence": float,
-    "finder_batch": int,
-    "target_accuracy": float,
-    "lr1": float,
-    "lr2": float,
-    "head_epochs": int,
-    "patience": int,
-    "min_delta": float,
-    "blobs_per_class": int,
-    "blobs_noise": float,
-    "n_per_class": int,
-    "split_num": int,
-    "split_den": int,
+# key -> (caster, destination, field). The destination is the BenchConfig
+# part that receives the value ("train", "sched", "rates", "finder") or
+# "bench" for a BenchConfig field; this doubles as the list of documented
+# config keys.
+_SCHEMA = {
+    "dataset": (str, "bench", "dataset"),
+    "model": (str, "bench", "model"),
+    "precision": (str, "train", "precision"),
+    "seed": (int, "train", "seed"),
+    "batch_size": (int, "train", "batch_size"),
+    "momentum": (float, "train", "momentum"),
+    "weight_decay": (float, "train", "weight_decay"),
+    "max_epochs": (int, "train", "max_epochs"),
+    "augment": (_bool, "train", "augment"),
+    "eta_max": (float, "sched", "eta_max"),
+    "eta_min": (float, "sched", "eta_min"),
+    "t0": (int, "sched", "t0"),
+    "mult": (int, "sched", "mult"),
+    "rate_initial": (float, "rates", "initial"),
+    "rate_mid": (float, "rates", "mid"),
+    "rate_final": (float, "rates", "final"),
+    "finder_lo": (float, "finder", "lr_lo"),
+    "finder_hi": (float, "finder", "lr_hi"),
+    "finder_steps": (int, "finder", "n_steps"),
+    "finder_beta": (float, "finder", "smoothing_beta"),
+    "finder_divergence": (float, "finder", "divergence_factor"),
+    "finder_batch": (int, "bench", "finder_batch"),
+    "target_accuracy": (float, "bench", "target_accuracy"),
+    "lr1": (float, "bench", "lr1"),
+    "lr2": (float, "bench", "lr2"),
+    "head_epochs": (int, "bench", "head_epochs"),
+    "patience": (int, "bench", "patience"),
+    "min_delta": (float, "bench", "min_delta"),
+    "blobs_per_class": (int, "bench", "blobs_per_class"),
+    "blobs_noise": (float, "bench", "blobs_noise"),
+    "n_per_class": (int, "bench", "n_per_class"),
+    "split_num": (int, "bench", "split_num"),
+    "split_den": (int, "bench", "split_den"),
 }
+
+# key -> caster
+CONFIG_KEYS = {key: caster for key, (caster, _, _) in _SCHEMA.items()}
 
 
 def parse_config_file(path) -> dict:
@@ -99,48 +105,26 @@ def build_bench_config(raw: dict | None = None, overrides: dict | None = None
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    typed: dict = {}
+    parts: dict = {part: {} for part in ("train", "sched", "rates", "finder",
+                                         "bench")}
     for key, value in merged.items():
-        if key not in CONFIG_KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
+        caster, part, name = _SCHEMA[key]
         try:
-            typed[key] = CONFIG_KEYS[key](value)
+            parts[part][name] = caster(value)
         except ValueError as err:
             raise ConfigError(f"bad value for {key}: {err}") from err
 
-    def pick(keys: dict) -> dict:
-        return {dest: typed[src] for src, dest in keys.items() if src in typed}
-
-    if "augment" not in typed:
-        typed["augment"] = str(typed.get("dataset", "blobs")).startswith("cifar10")
+    parts["train"].setdefault(
+        "augment", parts["bench"].get("dataset", "blobs").startswith("cifar10"))
+    parts["sched"].setdefault("eta_max", 0.01)
+    parts["sched"].setdefault("t0", 100)
     try:
-        train = TrainConfig(**pick({
-            "batch_size": "batch_size", "momentum": "momentum",
-            "weight_decay": "weight_decay", "max_epochs": "max_epochs",
-            "seed": "seed", "precision": "precision", "augment": "augment"}))
-        sched_kwargs = pick({"eta_max": "eta_max", "eta_min": "eta_min",
-                             "t0": "t0", "mult": "mult"})
-        sched_kwargs.setdefault("eta_max", 0.01)
-        sched_kwargs.setdefault("t0", 100)
-        sched = CosineCycleConfig(**sched_kwargs)
-        rates = LayerGroupRates(**pick({
-            "rate_initial": "initial", "rate_mid": "mid", "rate_final": "final"}))
-        finder = RangeTestConfig(**pick({
-            "finder_lo": "lr_lo", "finder_hi": "lr_hi", "finder_steps": "n_steps",
-            "finder_beta": "smoothing_beta",
-            "finder_divergence": "divergence_factor"}))
-        return BenchConfig(train=train, sched=sched, rates=rates, finder=finder,
-                           **pick({
-                               "dataset": "dataset", "model": "model",
-                               "target_accuracy": "target_accuracy",
-                               "lr1": "lr1", "lr2": "lr2",
-                               "head_epochs": "head_epochs",
-                               "finder_batch": "finder_batch",
-                               "patience": "patience", "min_delta": "min_delta",
-                               "blobs_per_class": "blobs_per_class",
-                               "blobs_noise": "blobs_noise",
-                               "n_per_class": "n_per_class",
-                               "split_num": "split_num",
-                               "split_den": "split_den"}))
+        return BenchConfig(train=TrainConfig(**parts["train"]),
+                           sched=CosineCycleConfig(**parts["sched"]),
+                           rates=LayerGroupRates(**parts["rates"]),
+                           finder=RangeTestConfig(**parts["finder"]),
+                           **parts["bench"])
     except ValueError as err:
         raise ConfigError(str(err)) from err

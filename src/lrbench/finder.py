@@ -95,6 +95,13 @@ def ramp_lr(step: int, cfg: RangeTestConfig) -> float:
     return cfg.lr_lo * (cfg.lr_hi / cfg.lr_lo) ** (step / (cfg.n_steps - 1))
 
 
+def _ema_update(m: float, raw: float, beta: float, i: int) -> tuple[float, float]:
+    """Feed the (i+1)-th raw value into the running mean ``m``; returns the
+    new running mean and its bias-corrected value."""
+    m = beta * m + (1.0 - beta) * raw
+    return m, m / (1.0 - beta ** (i + 1))
+
+
 def smooth_losses(raw: Sequence[float], beta: float) -> list[float]:
     """Bias-corrected exponential moving average; beta=0 returns the input."""
     if not 0.0 <= beta < 1.0:
@@ -102,31 +109,25 @@ def smooth_losses(raw: Sequence[float], beta: float) -> list[float]:
     out = []
     m = 0.0
     for i, r in enumerate(raw):
-        m = beta * m + (1.0 - beta) * float(r)
-        out.append(m / (1.0 - beta ** (i + 1)))
+        m, smoothed = _ema_update(m, float(r), beta, i)
+        out.append(smoothed)
     return out
-
-
-def _as_arrays(data):
-    if hasattr(data, "images"):
-        return data.images, data.labels
-    x, y = data
-    return np.asarray(x), np.asarray(y)
 
 
 def range_test(model: Model, data, cfg: RangeTestConfig, rng_seed: int,
                batch_size: int = 32, momentum: float = 0.0,
                weight_decay: float = 0.0) -> LRFinderTrace:
-    """Run the ramp: one SGD step per mini-batch at ramp_lr(step), recording
-    (lr, raw_loss, smoothed_loss). Stops early with reason "diverged" at the
-    first step whose smoothed loss exceeds divergence_factor times the
-    smoothed minimum seen before it; a non-finite loss stops the same way.
+    """Run the ramp over ``data``, an (images, labels) pair: one SGD step per
+    mini-batch at ramp_lr(step), recording (lr, raw_loss, smoothed_loss).
+    Stops early with reason "diverged" at the first step whose smoothed loss
+    exceeds divergence_factor times the smoothed minimum seen before it; a
+    non-finite loss stops the same way.
 
     Batches are drawn from a single seed-shuffled pass over the data, cycling
     as needed. Model parameters and velocities are restored to their pre-test
     values before returning.
     """
-    x_all, y_all = _as_arrays(data)
+    x_all, y_all = map(np.asarray, data)
     n = len(x_all)
     if n == 0:
         raise ValueError("range test needs a non-empty dataset")
@@ -157,8 +158,7 @@ def range_test(model: Model, data, cfg: RangeTestConfig, rng_seed: int,
                                      weight_decay=weight_decay)
             except NonFiniteLossError as err:
                 raw = err.value
-            m = beta * m + (1.0 - beta) * raw
-            smoothed = m / (1.0 - beta ** (i + 1))
+            m, smoothed = _ema_update(m, raw, beta, i)
             steps.append((lr, raw, smoothed))
             if not math.isfinite(smoothed):
                 stop_reason = "diverged"

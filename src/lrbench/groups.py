@@ -13,12 +13,10 @@ to share across threads.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError
 from .nn import GROUP_ORDER, Model
 from .schedule import CosineCycleConfig, lr_at
 
@@ -34,11 +32,7 @@ __all__ = [
     "head_model",
     "precompute_features",
     "group_lr_at",
-    "save_cache",
-    "load_cache",
 ]
-
-CACHE_MAGIC = b"LRFC"
 
 
 class InvalidPartitionError(ValueError):
@@ -58,9 +52,6 @@ class LayerGroupRates:
             raise ValueError(f"group rates must all be > 0, got {self}")
         if not self.initial <= self.mid <= self.final:
             raise ValueError(f"need initial <= mid <= final, got {self}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.initial, self.mid, self.final)
 
 
 @dataclass(frozen=True)
@@ -168,8 +159,8 @@ def head_model(model: Model) -> Model:
 
 
 def precompute_features(model: Model, data, batch_size: int = 256) -> FeatureCache:
-    """One deterministic pass through the frozen body, caching the final
-    group's input activations in f32.
+    """One deterministic pass of ``data``, an (images, labels) pair, through
+    the frozen body, caching the final group's input activations in f32.
 
     All parameterized layers outside the final group must be frozen first;
     no augmentation happens here. In f32 mode, head logits computed from the
@@ -182,8 +173,7 @@ def precompute_features(model: Model, data, batch_size: int = 256) -> FeatureCac
             )
     split = split_index(model)
     body = model.layers[:split]
-    images = data.images if hasattr(data, "images") else np.asarray(data[0])
-    labels = data.labels if hasattr(data, "labels") else np.asarray(data[1])
+    images, labels = map(np.asarray, data)
     rows = []
     for start in range(0, len(images), batch_size):
         out = np.asarray(images[start:start + batch_size], dtype=model.dtype)
@@ -195,7 +185,7 @@ def precompute_features(model: Model, data, batch_size: int = 256) -> FeatureCac
                 )
         rows.append(out.reshape(len(out), -1).astype(np.float32))
     features = np.concatenate(rows, axis=0)
-    return FeatureCache(features=features, labels=np.asarray(labels))
+    return FeatureCache(features=features, labels=labels)
 
 
 def group_lr_at(t_global: int, rates: LayerGroupRates,
@@ -205,35 +195,3 @@ def group_lr_at(t_global: int, rates: LayerGroupRates,
     factor = lr_at(t_global, replace(cfg, eta_max=1.0, eta_min=0.0))
     return (rates.initial * factor, rates.mid * factor, rates.final * factor)
 
-
-def save_cache(cache: FeatureCache, path) -> None:
-    """Flat binary layout: magic LRFC, u32 rows, u32 cols (little-endian),
-    row-major f32 features, then u16 labels."""
-    rows, cols = cache.features.shape
-    if cache.labels.size and int(cache.labels.max()) > 0xFFFF:
-        raise ValueError("labels do not fit in u16")
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<II", rows, cols))
-        fh.write(np.ascontiguousarray(cache.features, dtype="<f4").tobytes())
-        fh.write(cache.labels.astype("<u2").tobytes())
-
-
-def load_cache(path) -> FeatureCache:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CACHE_MAGIC:
-        raise DataError(f"{path}: bad magic {blob[:4]!r}, expected {CACHE_MAGIC!r}")
-    if len(blob) < 12:
-        raise DataError(f"{path}: truncated header ({len(blob)} bytes)")
-    rows, cols = struct.unpack("<II", blob[4:12])
-    feat_end = 12 + rows * cols * 4
-    expected = feat_end + rows * 2
-    if len(blob) != expected:
-        raise DataError(
-            f"{path}: expected {expected} bytes for {rows}x{cols} cache, "
-            f"got {len(blob)}"
-        )
-    features = np.frombuffer(blob[12:feat_end], dtype="<f4").reshape(rows, cols)
-    labels = np.frombuffer(blob[feat_end:], dtype="<u2").astype(np.int64)
-    return FeatureCache(features=features.copy(), labels=labels)

@@ -124,9 +124,7 @@ class Dense(Layer):
 
     def backward(self, grad_out, cache):
         x = cache
-        if self.frozen:
-            self.zero_grads()
-        else:
+        if not self.frozen:
             self._grads[0][...] = x.T @ grad_out
             if self.b is not None:
                 self._grads[1][...] = grad_out.sum(axis=0)
@@ -181,9 +179,7 @@ class Conv2d(Layer):
         xp = cache
         n, _, h, w = grad_out.shape
         p = self.ksize // 2
-        if self.frozen:
-            self.zero_grads()
-        else:
+        if not self.frozen:
             for di in range(self.ksize):
                 for dj in range(self.ksize):
                     xs = xp[:, :, di:di + h, dj:dj + w]
@@ -305,13 +301,9 @@ def forward(model: Model, batch: np.ndarray):
     return x, caches
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of integer labels under softmax(logits)."""
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Check integer labels against the logits; returns (labels, log-softmax,
+    mean cross-entropy)."""
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ShapeError(
@@ -319,20 +311,20 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
         )
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ShapeError("label ids out of range for the logits width")
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(len(labels)), labels].mean())
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return labels, logp, float(-logp[np.arange(len(labels)), labels].mean())
+
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of integer labels under softmax(logits)."""
+    return _cross_entropy(logits, labels)[2]
 
 
 def _loss_and_grad(model: Model, logits: np.ndarray, labels: np.ndarray):
     n = logits.shape[0]
     if model.loss == "softmax_ce":
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise ShapeError(f"expected {n} labels, got shape {labels.shape}")
-        if labels.min() < 0 or labels.max() >= logits.shape[1]:
-            raise ShapeError("label ids out of range for the logits width")
-        logp = _log_softmax(logits)
-        loss = float(-logp[np.arange(n), labels].mean())
+        labels, logp, loss = _cross_entropy(logits, labels)
         grad = np.exp(logp)
         grad[np.arange(n), labels] -= 1.0
         grad /= n
@@ -385,21 +377,16 @@ def backward(model: Model, logits: np.ndarray, labels: np.ndarray, caches,
 def _group_lr(lr, layer: Layer) -> float:
     if isinstance(lr, (int, float, np.floating)):
         return float(lr)
-    if hasattr(lr, "initial"):  # LayerGroupRates-shaped object
-        lr = {"initial": lr.initial, "mid": lr.mid, "final": lr.final}
-    elif isinstance(lr, (tuple, list)):
-        if len(lr) != 3:
-            raise ValueError(f"per-group rates need 3 entries, got {len(lr)}")
-        lr = dict(zip(GROUP_ORDER, lr))
+    if not (isinstance(lr, tuple) and len(lr) == 3):
+        raise ValueError(
+            f"lr must be a scalar or an (initial, mid, final) tuple, got {lr!r}"
+        )
     if layer.group is None:
         raise ValueError(
             f"layer {layer.name} has no group tag; partition the model before "
             "using per-group rates"
         )
-    try:
-        return float(lr[layer.group])
-    except KeyError:
-        raise ValueError(f"no rate given for group {layer.group!r}") from None
+    return float(lr[GROUP_ORDER.index(layer.group)])
 
 
 def sgd_step(model: Model, lr, momentum: float = 0.0,
@@ -407,8 +394,8 @@ def sgd_step(model: Model, lr, momentum: float = 0.0,
     """One SGD-with-momentum update: v <- momentum*v + (g + weight_decay*p),
     p <- p - lr*v, skipping frozen layers.
 
-    ``lr`` is a scalar, a (initial, mid, final) triple, a group->rate dict, or
-    an object with .initial/.mid/.final. Weight decay is coupled (added to the
+    ``lr`` is a scalar or an (initial, mid, final) tuple of per-group rates;
+    anything else raises ValueError. Weight decay is coupled (added to the
     gradient); pass it either here or to backward, not both.
     """
     for layer in model.param_layers():

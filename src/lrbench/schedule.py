@@ -18,7 +18,6 @@ from typing import IO, Sequence
 
 __all__ = [
     "CosineCycleConfig",
-    "FixedSchedule",
     "ScheduleCursor",
     "InvalidScheduleError",
     "CycleOverflowError",
@@ -68,20 +67,6 @@ class CosineCycleConfig:
             raise InvalidScheduleError(f"t0 must be an integer >= 1, got {self.t0!r}")
         if not isinstance(self.mult, int) or self.mult < 1:
             raise InvalidScheduleError(f"mult must be an integer >= 1, got {self.mult!r}")
-
-
-@dataclass(frozen=True)
-class FixedSchedule:
-    """Constant learning rate, used by the conventional baseline phases."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not self.rate > 0.0:
-            raise InvalidScheduleError(f"fixed rate must be > 0, got {self.rate}")
-
-    def rate_at(self, t_global: int) -> float:
-        return self.rate
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 from lrbench.bench import (BenchConfig, RunReport, PhaseResult, build_model,
                            confusion, emit_report, load_bench_dataset,
-                           parse_history_csv, predictions, run_conventional,
-                           run_optimized, speedup)
+                           predictions, run_conventional, run_optimized,
+                           speedup)
 from lrbench.errors import ConfigError
 from lrbench.finder import RangeTestConfig
 from lrbench.nn import Conv2d, Dense, forward
@@ -205,14 +207,18 @@ class TestEmitReport:
         paths = emit_report(report, tmp_path)
         assert [p.name for p in paths] == [
             "history.csv", "confusion.csv", "summary.txt"]
-        parsed = parse_history_csv(paths[0])
-        assert len(parsed) == len(report.history)
-        for got, want in zip(parsed, report.history):
-            assert got.epoch == want.epoch
-            assert got.phase == want.phase
-            assert got.lr == want.lr  # repr round-trips floats exactly
-            assert got.train_loss == want.train_loss
-            assert got.valid_acc == want.valid_acc
+        with open(paths[0], newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["epoch", "phase", "lr", "train_loss",
+                                 "valid_loss", "valid_acc", "seconds"]
+        assert len(rows) == len(report.history)
+        for got, want in zip(rows, report.history):
+            assert int(got["epoch"]) == want.epoch
+            assert got["phase"] == want.phase
+            # repr round-trips floats exactly
+            for name in ("lr", "train_loss", "valid_loss", "valid_acc",
+                         "seconds"):
+                assert float(got[name]) == getattr(want, name)
 
     def test_confusion_csv_layout(self, tmp_path):
         report = self.make_report()
@@ -244,9 +250,3 @@ class TestEmitReport:
         report = run_optimized(tiny_config())
         *_, summary = emit_report(report, tmp_path)
         assert f"eta_max: {report.eta_max!r}" in summary.read_text()
-
-    def test_parse_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "history.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(ValueError, match="header"):
-            parse_history_csv(path)

@@ -1,9 +1,13 @@
+import io
+
 import numpy as np
 import pytest
 
+from lrbench.bench import build_model, load_bench_dataset
 from lrbench.cli import main, run
 from lrbench.config import CONFIG_KEYS, build_bench_config, parse_config_file
 from lrbench.errors import ConfigError
+from lrbench.finder import range_test, write_trace_csv
 
 TINY_CONFIG = """\
 # desk-scale smoke config
@@ -174,6 +178,23 @@ class TestLrFind:
         stdout = capsys.readouterr().out
         assert "suggested_lr:" in stdout
 
+    def test_probes_at_finder_batch(self, tmp_path):
+        cfg_path = tmp_path / "bench.cfg"
+        cfg_path.write_text("finder_lo = 0.001\nfinder_hi = 2.0\n"
+                            "finder_steps = 40\nfinder_beta = 0.9\n"
+                            "finder_batch = 128\n")
+        out = tmp_path / "out"
+        assert run(["lr-find", "--config", str(cfg_path),
+                    "--out", str(out)]) == 0
+        cfg = build_bench_config(parse_config_file(cfg_path))
+        train_ds, _ = load_bench_dataset(cfg)
+        model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
+        trace = range_test(model, (train_ds.images, train_ds.labels),
+                           cfg.finder, rng_seed=cfg.train.seed, batch_size=128)
+        expected = io.StringIO()
+        write_trace_csv(trace, expected)
+        assert (out / "finder_trace.csv").read_text() == expected.getvalue()
+
     def test_no_descent_exits_4_but_keeps_trace(self, tmp_path, capsys):
         # a ramp starting far beyond the divergence point leaves too few
         # usable steps for a suggestion; the trace should survive for
@@ -230,6 +251,17 @@ class TestExitCodes:
         cfg.write_text(f"dataset = cifar10:{tmp_path / 'missing'}\n")
         assert run(["train", "--config", str(cfg)]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_divergence_exits_5_without_traceback(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY_CONFIG + "lr1 = 1000000.0\n")
+        assert run(["benchmark", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: training diverged: non-finite")
 
     def test_argparse_rejects_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from lrbench.data import make_blobs
-from lrbench.errors import DataError
 from lrbench.groups import (FeatureCache, GroupPartition, InvalidPartitionError,
                             LayerGroupRates, default_partition, freeze_groups,
-                            group_lr_at, head_model, load_cache,
-                            partition_layers, precompute_features, save_cache,
-                            split_index)
+                            group_lr_at, head_model, partition_layers,
+                            precompute_features, split_index)
 from lrbench.nn import Dense, Model, build_cnn, build_mlp, forward, train_step
 from lrbench.schedule import CosineCycleConfig, lr_at
 
@@ -22,7 +20,7 @@ def partitioned_mlp(seed=0, dtype=np.float32):
 class TestLayerGroupRates:
     def test_defaults_ordered(self):
         rates = LayerGroupRates()
-        assert rates.as_tuple() == (1e-4, 1e-3, 1e-2)
+        assert (rates.initial, rates.mid, rates.final) == (1e-4, 1e-3, 1e-2)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -36,7 +34,7 @@ class TestLayerGroupRates:
 
     def test_equal_rates_allowed(self):
         rates = LayerGroupRates(initial=0.01, mid=0.01, final=0.01)
-        assert rates.as_tuple() == (0.01, 0.01, 0.01)
+        assert (rates.initial, rates.mid, rates.final) == (0.01, 0.01, 0.01)
 
 
 class TestGroupPartition:
@@ -145,7 +143,8 @@ class TestPrecomputeFeatures:
         model = partitioned_mlp()
         freeze_groups(model, {"initial", "mid"})
         ds = make_blobs(n_per_class=10, seed=0)
-        cache = precompute_features(model, ds, batch_size=7)
+        cache = precompute_features(model, (ds.images, ds.labels),
+                                    batch_size=7)
         out = np.asarray(ds.images, dtype=model.dtype)
         for layer in model.layers[:split_index(model)]:
             out, _ = layer.forward(out)
@@ -157,7 +156,7 @@ class TestPrecomputeFeatures:
         model = partitioned_mlp()
         freeze_groups(model, {"initial", "mid"})
         ds = make_blobs(n_per_class=10, seed=1)
-        cache = precompute_features(model, ds)
+        cache = precompute_features(model, (ds.images, ds.labels))
         head = head_model(model)
         full, _ = forward(model, ds.images)
         cached, _ = forward(head, cache.features)
@@ -167,15 +166,21 @@ class TestPrecomputeFeatures:
         model = partitioned_mlp()
         ds = make_blobs(n_per_class=5)
         with pytest.raises(ValueError, match="frozen"):
-            precompute_features(model, ds)
+            precompute_features(model, (ds.images, ds.labels))
 
     def test_accepts_plain_arrays(self):
         model = partitioned_mlp()
         freeze_groups(model, {"initial", "mid"})
         ds = make_blobs(n_per_class=5)
-        a = precompute_features(model, ds)
-        b = precompute_features(model, (ds.images, ds.labels))
-        np.testing.assert_array_equal(a.features, b.features)
+        cache = precompute_features(model, (ds.images, ds.labels))
+        # one 256-row batch, as the cache pass takes it
+        out = ds.images.astype(model.dtype)
+        for layer in model.layers[:split_index(model)]:
+            out, _ = layer.forward(out)
+        np.testing.assert_array_equal(cache.features, out.reshape(len(ds), -1))
+        np.testing.assert_array_equal(cache.labels, ds.labels)
+        with pytest.raises(TypeError):
+            precompute_features(model, ds)  # a Dataset is not a pair
 
     def test_batch_size_does_not_change_result(self):
         # not bit-exact across batch sizes: BLAS picks different reduction
@@ -183,8 +188,8 @@ class TestPrecomputeFeatures:
         model = partitioned_mlp()
         freeze_groups(model, {"initial", "mid"})
         ds = make_blobs(n_per_class=11)
-        a = precompute_features(model, ds, batch_size=4)
-        b = precompute_features(model, ds, batch_size=256)
+        a = precompute_features(model, (ds.images, ds.labels), batch_size=4)
+        b = precompute_features(model, (ds.images, ds.labels), batch_size=256)
         np.testing.assert_allclose(a.features, b.features, rtol=1e-5, atol=1e-6)
 
     def test_cache_validation(self):
@@ -235,49 +240,7 @@ class TestGroupLrAt:
         cfg = CosineCycleConfig(eta_max=0.7, eta_min=0.1, t0=64, mult=2)
         unit = CosineCycleConfig(eta_max=1.0, eta_min=0.0, t0=64, mult=2)
         for t in range(0, 300, 13):
-            expected = tuple(r * lr_at(t, unit) for r in rates.as_tuple())
+            expected = tuple(r * lr_at(t, unit)
+                             for r in (rates.initial, rates.mid, rates.final))
             assert group_lr_at(t, rates, cfg) == expected
 
-
-class TestCacheFile:
-    def make_cache(self, rows=5, cols=3, seed=0):
-        rng = np.random.default_rng(seed)
-        return FeatureCache(
-            rng.standard_normal((rows, cols)).astype(np.float32),
-            rng.integers(0, 10, rows).astype(np.int64))
-
-    def test_round_trip_bit_exact(self, tmp_path):
-        cache = self.make_cache()
-        path = tmp_path / "cache.lrfc"
-        save_cache(cache, path)
-        loaded = load_cache(path)
-        np.testing.assert_array_equal(loaded.features, cache.features)
-        np.testing.assert_array_equal(loaded.labels, cache.labels)
-        assert loaded.features.dtype == np.float32
-
-    def test_file_size_matches_layout(self, tmp_path):
-        cache = self.make_cache(rows=7, cols=4)
-        path = tmp_path / "cache.lrfc"
-        save_cache(cache, path)
-        assert path.stat().st_size == 4 + 8 + 7 * 4 * 4 + 7 * 2
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.lrfc"
-        path.write_bytes(b"NOPE" + bytes(20))
-        with pytest.raises(DataError, match="magic"):
-            load_cache(path)
-
-    def test_truncated_payload(self, tmp_path):
-        cache = self.make_cache()
-        path = tmp_path / "cache.lrfc"
-        save_cache(cache, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-3])
-        with pytest.raises(DataError, match="expected"):
-            load_cache(path)
-
-    def test_labels_must_fit_u16(self, tmp_path):
-        cache = FeatureCache(np.zeros((1, 1), np.float32),
-                             np.array([70000], dtype=np.int64))
-        with pytest.raises(ValueError, match="u16"):
-            save_cache(cache, tmp_path / "cache.lrfc")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import max_grad_rel_error
+from lrbench.groups import LayerGroupRates
 from lrbench.nn import (Conv2d, Dense, Flatten, MaxPool2, Model,
                         NonFiniteLossError, ReLU, ShapeError, backward,
                         build_cnn, build_mlp, forward, sgd_step,
@@ -283,10 +284,14 @@ class TestSgdStep:
         sgd_step(model, rates)
         for l, b, r in zip(layers, before, rates):
             assert np.allclose(l.W, b - r, rtol=1e-12)
-        # dict and attribute-style rates behave the same
-        for l in layers:
-            l.grads[0][...] = 1.0
-        sgd_step(model, {"initial": 0.0, "mid": 0.0, "final": 0.0})
+        # a scalar or a triple only: dict and attribute-style rates are refused
+        moved = [l.W.copy() for l in layers]
+        for other in ({"initial": 0.1, "mid": 0.1, "final": 0.1},
+                      LayerGroupRates(0.1, 0.1, 0.1)):
+            with pytest.raises(ValueError, match="scalar or an"):
+                sgd_step(model, other)
+        for l, m in zip(layers, moved):
+            assert np.array_equal(l.W, m)
 
     def test_group_rates_without_partition_rejected(self):
         model = Model([Dense(2, 2, dtype=np.float64)], dtype=np.float64)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from lrbench.schedule import (MAX_ITERATIONS, CosineCycleConfig,
-                              CycleOverflowError, FixedSchedule,
-                              InvalidScheduleError, cosine_lr, cycle_length,
-                              dump_schedule, locate, lr_at,
-                              write_schedule_csv)
+                              CycleOverflowError, InvalidScheduleError,
+                              cosine_lr, cycle_length, dump_schedule, locate,
+                              lr_at, write_schedule_csv)
 
 
 def oracle_locate(t, cfg):
@@ -82,13 +81,6 @@ class TestConfigValidation:
             CosineCycleConfig(eta_max=0.01, t0=0)
         with pytest.raises(InvalidScheduleError):
             CosineCycleConfig(eta_max=0.01, t0=10, mult=0)
-
-    def test_fixed_schedule(self):
-        sched = FixedSchedule(0.01)
-        assert sched.rate_at(0) == 0.01
-        assert sched.rate_at(10 ** 9) == 0.01
-        with pytest.raises(InvalidScheduleError):
-            FixedSchedule(0.0)
 
 
 class TestCycleLength:
