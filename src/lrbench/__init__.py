@@ -13,12 +13,10 @@ from .data import Dataset, augment, load_cifar10, make_blobs, normalize, split
 from .errors import ConfigError, DataError, LRBenchError
 from .finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
                      range_test, suggest_lr)
-from .groups import (FeatureCache, GroupPartition, LayerGroupRates,
-                     freeze_groups, group_lr_at, partition_layers,
-                     precompute_features)
+from .groups import (FeatureCache, LayerGroupRates, freeze_groups,
+                     group_lr_at, partition_layers, precompute_features)
 from .nn import Model, backward, build_cnn, build_mlp, forward, sgd_step
-from .schedule import (CosineCycleConfig, cosine_lr, cycle_length,
-                       dump_schedule, lr_at)
+from .schedule import CosineCycleConfig, cosine_lr, dump_schedule, lr_at
 from .train import EarlyStopState, TrainConfig, early_stop_update, evaluate
 
 __version__ = "0.1.0"
@@ -30,10 +28,10 @@ __all__ = [
     "ConfigError", "DataError", "LRBenchError",
     "LRFinderTrace", "NoDescentFound", "RangeTestConfig", "range_test",
     "suggest_lr",
-    "FeatureCache", "GroupPartition", "LayerGroupRates", "freeze_groups",
+    "FeatureCache", "LayerGroupRates", "freeze_groups",
     "group_lr_at", "partition_layers", "precompute_features",
     "Model", "backward", "build_cnn", "build_mlp", "forward", "sgd_step",
-    "CosineCycleConfig", "cosine_lr", "cycle_length", "dump_schedule", "lr_at",
+    "CosineCycleConfig", "cosine_lr", "dump_schedule", "lr_at",
     "EarlyStopState", "TrainConfig", "early_stop_update", "evaluate",
     "__version__",
 ]

@@ -174,6 +174,7 @@ def run_conventional(cfg: BenchConfig,
     penalty here, that belongs to the optimized scheme."""
     train_ds, valid_ds = data if data is not None else load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
+    train_cfg = replace(cfg.train, weight_decay=0.0)
     history: list[EpochRecord] = []
     phases: list[PhaseResult] = []
 
@@ -181,9 +182,8 @@ def run_conventional(cfg: BenchConfig,
     acc1, ep1, _ = train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
         phase_name="fixed_lr1", phase_index=1, lr_fn=lambda t: cfg.lr1,
-        cfg=cfg.train, max_epochs=cfg.train.max_epochs,
-        stopper=EarlyStopState(cfg.patience, cfg.min_delta),
-        weight_decay=0.0, history=history)
+        cfg=train_cfg, max_epochs=cfg.train.max_epochs,
+        stopper=EarlyStopState(cfg.patience, cfg.min_delta), history=history)
     phases.append(PhaseResult("fixed_lr1", ep1, acc1, time.perf_counter() - start))
 
     start = time.perf_counter()
@@ -195,11 +195,11 @@ def run_conventional(cfg: BenchConfig,
         acc2, ep2, reached = train_phase(
             model, train_ds.images, train_ds.labels, valid_ds.images,
             valid_ds.labels, phase_name="fixed_lr2", phase_index=2,
-            lr_fn=lambda t: cfg.lr2, cfg=cfg.train,
+            lr_fn=lambda t: cfg.lr2, cfg=train_cfg,
             max_epochs=cfg.train.max_epochs,
             stopper=EarlyStopState(cfg.patience, cfg.min_delta),
-            target_accuracy=cfg.target_accuracy, weight_decay=0.0,
-            history=history, epoch_offset=ep1)
+            target_accuracy=cfg.target_accuracy, history=history,
+            epoch_offset=ep1)
     phases.append(PhaseResult("fixed_lr2", ep2, acc2, time.perf_counter() - start))
     return finish_report(model, valid_ds, phases, reached, history)
 

@@ -183,9 +183,14 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """Console entry point mapping errors to documented exit codes."""
+    """Console entry point mapping errors to documented exit codes.
+
+    numpy's overflow and invalid-value warnings are silenced: a diverging run
+    is reported once, through the non-finite checks that end it with code 5.
+    """
     try:
-        return main(argv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return main(argv)
     except NoDescentFound as err:
         print(f"error: {err}", file=sys.stderr)
         return 4

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# Steps suggest_lr drops before the last step of a diverged trace.
+TAIL_EXCLUDE = 3
+
+
 class NoDescentFound(RuntimeError):
     """The loss trace has no descending segment to suggest a rate from.
 
@@ -68,20 +72,7 @@ class LRFinderTrace:
     ``smoothed_loss`` is the bias-corrected EMA of the raw losses."""
 
     steps: list[tuple[float, float, float]]
-    stopped_early: bool
     stop_reason: str  # "completed" | "diverged"
-
-    @property
-    def lrs(self) -> np.ndarray:
-        return np.array([s[0] for s in self.steps])
-
-    @property
-    def raw_losses(self) -> np.ndarray:
-        return np.array([s[1] for s in self.steps])
-
-    @property
-    def smoothed_losses(self) -> np.ndarray:
-        return np.array([s[2] for s in self.steps])
 
 
 def ramp_lr(step: int, cfg: RangeTestConfig) -> float:
@@ -115,10 +106,10 @@ def smooth_losses(raw: Sequence[float], beta: float) -> list[float]:
 
 
 def range_test(model: Model, data, cfg: RangeTestConfig, rng_seed: int,
-               batch_size: int = 32, momentum: float = 0.0,
-               weight_decay: float = 0.0) -> LRFinderTrace:
-    """Run the ramp over ``data``, an (images, labels) pair: one SGD step per
-    mini-batch at ramp_lr(step), recording (lr, raw_loss, smoothed_loss).
+               batch_size: int = 32) -> LRFinderTrace:
+    """Run the ramp over ``data``, an (images, labels) pair: one plain SGD
+    step (no momentum, no weight decay) per mini-batch at ramp_lr(step),
+    recording (lr, raw_loss, smoothed_loss).
     Stops early with reason "diverged" at the first step whose smoothed loss
     exceeds divergence_factor times the smoothed minimum seen before it; a
     non-finite loss stops the same way.
@@ -153,9 +144,7 @@ def range_test(model: Model, data, cfg: RangeTestConfig, rng_seed: int,
                 # the ramp is expected to push into instability; overflow is
                 # a signal here, not an error worth warning about
                 with np.errstate(over="ignore", invalid="ignore"):
-                    raw = train_step(model, x_all[idx], y_all[idx], lr,
-                                     momentum=momentum,
-                                     weight_decay=weight_decay)
+                    raw = train_step(model, x_all[idx], y_all[idx], lr)
             except NonFiniteLossError as err:
                 raw = err.value
             m, smoothed = _ema_update(m, raw, beta, i)
@@ -172,14 +161,13 @@ def range_test(model: Model, data, cfg: RangeTestConfig, rng_seed: int,
             best = min(best, smoothed)
     finally:
         model.load_state(snapshot)
-    return LRFinderTrace(steps=steps, stopped_early=(stop_reason == "diverged"),
-                         stop_reason=stop_reason)
+    return LRFinderTrace(steps=steps, stop_reason=stop_reason)
 
 
-def suggest_lr(trace: LRFinderTrace, tail_exclude: int = 3) -> float:
+def suggest_lr(trace: LRFinderTrace) -> float:
     """Rate at the most negative slope of smoothed loss vs log(lr).
 
-    For diverged traces the divergence step and the ``tail_exclude`` steps
+    For diverged traces the divergence step and the ``TAIL_EXCLUDE`` steps
     before it are dropped first (a safety margin off the cliff edge); for
     completed traces only the final step is, so the suggestion always falls
     strictly between lr_lo and the stopping rate. Ties go to the smaller
@@ -187,7 +175,7 @@ def suggest_lr(trace: LRFinderTrace, tail_exclude: int = 3) -> float:
     than 3 usable steps remain.
     """
     if trace.stop_reason == "diverged":
-        usable = trace.steps[:len(trace.steps) - tail_exclude - 1]
+        usable = trace.steps[:len(trace.steps) - TAIL_EXCLUDE - 1]
     else:
         usable = trace.steps[:-1]
     if len(usable) < 3:

@@ -22,7 +22,6 @@ from .schedule import CosineCycleConfig, lr_at
 
 __all__ = [
     "LayerGroupRates",
-    "GroupPartition",
     "FeatureCache",
     "InvalidPartitionError",
     "partition_layers",
@@ -55,28 +54,6 @@ class LayerGroupRates:
 
 
 @dataclass(frozen=True)
-class GroupPartition:
-    """Boundaries into the ordered list of parameterized layers: indices
-    [0, b1) are ``initial``, [b1, b2) are ``mid``, [b2, end) are ``final``."""
-
-    b1: int
-    b2: int
-    n_layers: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.b1 < self.b2 < self.n_layers:
-            raise InvalidPartitionError(
-                f"need 0 < b1 < b2 < n_layers so every group is non-empty, "
-                f"got b1={self.b1} b2={self.b2} n_layers={self.n_layers}"
-            )
-
-    def group_of(self, index: int) -> str:
-        if index < self.b1:
-            return "initial"
-        return "mid" if index < self.b2 else "final"
-
-
-@dataclass(frozen=True)
 class FeatureCache:
     """Cached inputs to the final layer group, one row per sample (f32)."""
 
@@ -97,35 +74,31 @@ class FeatureCache:
         return len(self.features)
 
 
-def partition_layers(model: Model, b1: int, b2: int) -> GroupPartition:
-    """Tag every parameterized layer with its group. Layers without
-    parameters keep group None; they ride along with backprop regardless."""
+def partition_layers(model: Model, b1: int, b2: int) -> None:
+    """Tag every parameterized layer with its group: indices [0, b1) of
+    ``model.param_layers()`` are ``initial``, [b1, b2) are ``mid`` and
+    [b2, end) are ``final``. Layers without parameters keep group None; they
+    ride along with backprop regardless."""
     layers = model.param_layers()
-    if len(layers) < 3:
-        raise InvalidPartitionError(
-            f"partition needs at least 3 parameterized layers, model has {len(layers)}"
-        )
-    part = GroupPartition(b1, b2, len(layers))
-    for i, layer in enumerate(layers):
-        layer.group = part.group_of(i)
-    return part
-
-
-def default_partition(model: Model) -> tuple[int, int]:
-    """Rough thirds; a designated classifier head always sits alone in
-    ``final``."""
-    n = len(model.param_layers())
+    n = len(layers)
     if n < 3:
         raise InvalidPartitionError(
             f"partition needs at least 3 parameterized layers, model has {n}"
         )
-    if getattr(model, "designated_head", False):
-        b2 = n - 1
-        b1 = max(1, (n - 1) // 2)
-    else:
-        b1 = max(1, n // 3)
-        b2 = min(n - 1, max(b1 + 1, (2 * n) // 3))
-    return b1, b2
+    if not 0 < b1 < b2 < n:
+        raise InvalidPartitionError(
+            f"need 0 < b1 < b2 < n_layers so every group is non-empty, "
+            f"got b1={b1} b2={b2} n_layers={n}"
+        )
+    for i, layer in enumerate(layers):
+        layer.group = GROUP_ORDER[(i >= b1) + (i >= b2)]
+
+
+def default_partition(model: Model) -> tuple[int, int]:
+    """The classifier head alone in ``final``; the layers below it split in
+    half between ``initial`` and ``mid``."""
+    n = len(model.param_layers())
+    return max(1, (n - 1) // 2), n - 1
 
 
 def freeze_groups(model: Model, frozen: set) -> None:

@@ -53,24 +53,13 @@ class NonFiniteLossError(FloatingPointError):
 
 
 class Layer:
-    """Base layer. Parameterized subclasses expose parallel lists of
+    """Base layer. Parameterized subclasses set parallel lists of
     parameter, gradient, and velocity arrays."""
 
     group: str | None = None
     frozen: bool = False
     name: str = ""
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return []
-
-    @property
-    def vel(self) -> list[np.ndarray]:
-        return []
+    params = grads = vel = ()
 
     def forward(self, x: np.ndarray):
         raise NotImplementedError
@@ -92,23 +81,9 @@ class Dense(Layer):
         scale = math.sqrt(2.0 / in_dim)
         self.W = (rng.standard_normal((in_dim, out_dim)) * scale).astype(dtype)
         self.b = np.zeros(out_dim, dtype=dtype) if bias else None
-        self._grads = [np.zeros_like(p) for p in self._param_list()]
-        self._vel = [np.zeros_like(p) for p in self._param_list()]
-
-    def _param_list(self):
-        return [self.W] if self.b is None else [self.W, self.b]
-
-    @property
-    def params(self):
-        return self._param_list()
-
-    @property
-    def grads(self):
-        return self._grads
-
-    @property
-    def vel(self):
-        return self._vel
+        self.params = [self.W] if self.b is None else [self.W, self.b]
+        self.grads = [np.zeros_like(p) for p in self.params]
+        self.vel = [np.zeros_like(p) for p in self.params]
 
     def forward(self, x):
         if x.ndim != 2:
@@ -125,9 +100,9 @@ class Dense(Layer):
     def backward(self, grad_out, cache):
         x = cache
         if not self.frozen:
-            self._grads[0][...] = x.T @ grad_out
+            self.grads[0][...] = x.T @ grad_out
             if self.b is not None:
-                self._grads[1][...] = grad_out.sum(axis=0)
+                self.grads[1][...] = grad_out.sum(axis=0)
         return grad_out @ self.W.T
 
 
@@ -142,20 +117,9 @@ class Conv2d(Layer):
         scale = math.sqrt(2.0 / (in_ch * ksize * ksize))
         self.W = (rng.standard_normal((out_ch, in_ch, ksize, ksize)) * scale).astype(dtype)
         self.b = np.zeros(out_ch, dtype=dtype)
-        self._grads = [np.zeros_like(self.W), np.zeros_like(self.b)]
-        self._vel = [np.zeros_like(self.W), np.zeros_like(self.b)]
-
-    @property
-    def params(self):
-        return [self.W, self.b]
-
-    @property
-    def grads(self):
-        return self._grads
-
-    @property
-    def vel(self):
-        return self._vel
+        self.params = [self.W, self.b]
+        self.grads = [np.zeros_like(self.W), np.zeros_like(self.b)]
+        self.vel = [np.zeros_like(self.W), np.zeros_like(self.b)]
 
     def forward(self, x):
         if x.ndim != 4:
@@ -178,13 +142,13 @@ class Conv2d(Layer):
     def backward(self, grad_out, cache):
         xp = cache
         n, _, h, w = grad_out.shape
-        p = self.ksize // 2
+        p = self.pad
         if not self.frozen:
             for di in range(self.ksize):
                 for dj in range(self.ksize):
                     xs = xp[:, :, di:di + h, dj:dj + w]
-                    self._grads[0][:, :, di, dj] = np.einsum("nohw,nchw->oc", grad_out, xs)
-            self._grads[1][...] = grad_out.sum(axis=(0, 2, 3))
+                    self.grads[0][:, :, di, dj] = np.einsum("nohw,nchw->oc", grad_out, xs)
+            self.grads[1][...] = grad_out.sum(axis=(0, 2, 3))
         gxp = np.zeros_like(xp)
         for di in range(self.ksize):
             for dj in range(self.ksize):
@@ -245,27 +209,21 @@ class Model:
 
     ``loss`` is "softmax_ce" for classification (integer labels) or "mse" for
     regression-style fixtures (float targets of the logits' shape).
-    ``designated_head`` marks models whose last parameterized layer is a
-    classifier head, which default partitioning keeps alone in its group.
     """
 
     def __init__(self, layers: Sequence[Layer], dtype=np.float32,
-                 loss: str = "softmax_ce", designated_head: bool = False):
+                 loss: str = "softmax_ce"):
         if loss not in ("softmax_ce", "mse"):
             raise ValueError(f"unknown loss {loss!r}")
         self.layers = list(layers)
         self.dtype = np.dtype(dtype)
         self.loss = loss
-        self.designated_head = designated_head
         for i, layer in enumerate(self.layers):
             if not layer.name:
                 layer.name = f"{type(layer).__name__.lower()}{i}"
 
     def param_layers(self) -> list[Layer]:
         return [l for l in self.layers if l.params]
-
-    def n_params(self) -> int:
-        return sum(p.size for l in self.param_layers() for p in l.params)
 
     def clone_state(self):
         """Bit-exact snapshot of parameters and velocities."""
@@ -432,7 +390,7 @@ def build_mlp(input_shape, n_classes: int, hidden=(64, 64),
     head = Dense(width, n_classes, dtype=dtype, rng=rng)
     head.W *= 0.1  # small head keeps the initial loss near ln(n_classes)
     layers.append(head)
-    return Model(layers, dtype=dtype, designated_head=True)
+    return Model(layers, dtype=dtype)
 
 
 def build_cnn(input_shape, n_classes: int, dtype=np.float32, seed: int = 0) -> Model:
@@ -455,4 +413,4 @@ def build_cnn(input_shape, n_classes: int, dtype=np.float32, seed: int = 0) -> M
         Dense(32, n_classes, dtype=dtype, rng=rng),
     ]
     layers[-1].W *= 0.1  # small head keeps the initial loss near ln(n_classes)
-    return Model(layers, dtype=dtype, designated_head=True)
+    return Model(layers, dtype=dtype)

@@ -18,28 +18,16 @@ from typing import IO, Sequence
 
 __all__ = [
     "CosineCycleConfig",
-    "ScheduleCursor",
     "InvalidScheduleError",
-    "CycleOverflowError",
     "cosine_lr",
-    "cycle_length",
-    "locate",
     "lr_at",
     "dump_schedule",
     "write_schedule_csv",
 ]
 
-# Iteration counters are kept within signed 64-bit range so schedules stay
-# portable to fixed-width consumers.
-MAX_ITERATIONS = 2**63 - 1
-
 
 class InvalidScheduleError(ValueError):
     """A schedule config or argument violates its invariants."""
-
-
-class CycleOverflowError(OverflowError):
-    """A cycle length no longer fits in a 64-bit iteration counter."""
 
 
 @dataclass(frozen=True)
@@ -69,19 +57,6 @@ class CosineCycleConfig:
             raise InvalidScheduleError(f"mult must be an integer >= 1, got {self.mult!r}")
 
 
-@dataclass(frozen=True)
-class ScheduleCursor:
-    """Position of a global iteration inside the cycle structure.
-
-    Invariants: ``0 <= t_within < cycle_length(cycle_index)`` and ``t_global``
-    equals the sum of all completed cycle lengths plus ``t_within``.
-    """
-
-    t_global: int
-    cycle_index: int
-    t_within: int
-
-
 def cosine_lr(t_within: int, cycle_len: int, cfg: CosineCycleConfig) -> float:
     """Rate after ``t_within`` of ``cycle_len`` iterations of one cycle.
 
@@ -103,40 +78,19 @@ def cosine_lr(t_within: int, cycle_len: int, cfg: CosineCycleConfig) -> float:
     return cfg.eta_min + 0.5 * span * (1.0 + math.cos(math.pi * t_within / cycle_len))
 
 
-def cycle_length(cycle_index: int, cfg: CosineCycleConfig) -> int:
-    """Length of cycle ``cycle_index``: ``t0 * mult**cycle_index``."""
-    if cycle_index < 0:
-        raise InvalidScheduleError(f"cycle_index must be >= 0, got {cycle_index}")
-    length = cfg.t0 * cfg.mult**cycle_index
-    if length > MAX_ITERATIONS:
-        raise CycleOverflowError(
-            f"cycle {cycle_index} length {length} exceeds the 64-bit iteration range"
-        )
-    return length
-
-
-def locate(t_global: int, cfg: CosineCycleConfig) -> ScheduleCursor:
-    """Map a global iteration to its (cycle_index, t_within) position."""
-    if t_global < 0:
-        raise InvalidScheduleError(f"t_global must be >= 0, got {t_global}")
-    if cfg.mult == 1:
-        cycle, within = divmod(t_global, cfg.t0)
-        return ScheduleCursor(t_global=t_global, cycle_index=cycle, t_within=within)
-    remaining = t_global
-    cycle = 0
-    length = cfg.t0
-    while remaining >= length:
-        remaining -= length
-        length *= cfg.mult
-        cycle += 1
-    return ScheduleCursor(t_global=t_global, cycle_index=cycle, t_within=remaining)
-
-
 def lr_at(t_global: int, cfg: CosineCycleConfig) -> float:
     """Annealed rate at a global iteration; restarts to ``eta_max`` at every
     cycle boundary."""
-    cursor = locate(t_global, cfg)
-    return cosine_lr(cursor.t_within, cycle_length(cursor.cycle_index, cfg), cfg)
+    if t_global < 0:
+        raise InvalidScheduleError(f"t_global must be >= 0, got {t_global}")
+    if cfg.mult == 1:  # constant cycles: O(1) instead of a walk per cycle
+        return cosine_lr(t_global % cfg.t0, cfg.t0, cfg)
+    within = t_global
+    length = cfg.t0
+    while within >= length:
+        within -= length
+        length *= cfg.mult
+    return cosine_lr(within, length, cfg)
 
 
 def dump_schedule(cfg: CosineCycleConfig, n_iters: int) -> list[tuple[int, float]]:

@@ -125,20 +125,18 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
                 phase_name: str, phase_index: int, lr_fn, cfg: TrainConfig,
                 max_epochs: int, stopper: EarlyStopState | None = None,
                 target_accuracy: float | None = None,
-                weight_decay: float | None = None,
                 history: list[EpochRecord] | None = None,
-                epoch_offset: int = 0, t_start: int = 0,
-                ) -> tuple[float, int, bool]:
+                epoch_offset: int = 0) -> tuple[float, int, bool]:
     """Run one training phase; returns (final_valid_acc, epochs_run, reached).
 
-    lr_fn maps the global iteration counter (continuing from t_start) to
-    either a scalar rate or a per-group rate triple; it is called once per
-    step, and its value at the first step of each epoch (the final-group rate
-    when it is a triple) is what lands in the history row. The phase ends at max_epochs, at the stopper's say-so, or as
-    soon as validation accuracy meets target_accuracy.
+    lr_fn maps the phase's iteration counter, which starts at 0 and runs on
+    across epochs, to either a scalar rate or a per-group rate triple. It is
+    called once per step, and its value at the first step of each epoch (the
+    final-group rate when it is a triple) is what lands in the history row.
+    The phase ends at max_epochs, at the stopper's say-so, or as soon as
+    validation accuracy meets target_accuracy.
     """
-    wd = cfg.weight_decay if weight_decay is None else weight_decay
-    t = t_start
+    t = 0
     epochs_run = 0
     reached = False
     final_acc = float("nan")
@@ -157,7 +155,8 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
             if epoch_lr is None:
                 epoch_lr = lr if np.isscalar(lr) else lr[-1]
             loss = train_step(model, xb, train_y[idx], lr,
-                              momentum=cfg.momentum, weight_decay=wd)
+                              momentum=cfg.momentum,
+                              weight_decay=cfg.weight_decay)
             loss_sum += loss * len(idx)
             n_seen += len(idx)
             t += 1

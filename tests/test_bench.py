@@ -163,6 +163,20 @@ class TestPipelines:
             sum(p.wall_seconds for p in report.phases))
         assert report.confusion.sum() == 21
 
+    def test_conventional_ignores_configured_weight_decay(self):
+        # the baseline trains without an L2 penalty whatever train.weight_decay
+        # says; a decay of 5.0 would change every loss if it were applied
+        histories = []
+        for wd in (0.0, 5.0):
+            train = TrainConfig(max_epochs=2, batch_size=16, seed=1,
+                                weight_decay=wd)
+            report = run_conventional(tiny_config(train=train))
+            histories.append([(r.epoch, r.phase, r.lr, r.train_loss,
+                               r.valid_loss, r.valid_acc)
+                              for r in report.history])
+        assert histories[0]
+        assert histories[0] == histories[1]
+
     def test_reached_consistent_with_target(self):
         cfg = tiny_config()
         report = run_conventional(cfg)

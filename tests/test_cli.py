@@ -252,6 +252,7 @@ class TestExitCodes:
         assert run(["train", "--config", str(cfg)]) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_exits_5_without_traceback(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text(TINY_CONFIG + "lr1 = 1000000.0\n")

@@ -13,8 +13,7 @@ from lrbench.nn import Dense, Model, train_step
 
 def make_trace(lrs, smoothed, reason="completed"):
     steps = [(lr, s, s) for lr, s in zip(lrs, smoothed)]
-    return LRFinderTrace(steps=steps, stopped_early=(reason == "diverged"),
-                         stop_reason=reason)
+    return LRFinderTrace(steps=steps, stop_reason=reason)
 
 
 class TestRampLr:
@@ -84,8 +83,8 @@ class TestRangeTest:
         cfg = RangeTestConfig(lr_lo=1e-4, lr_hi=1.0, n_steps=20)
         trace = range_test(model, (x, y), cfg, rng_seed=0, batch_size=2)
         assert trace.stop_reason == "completed"
-        raws = trace.raw_losses
-        assert np.all(raws == raws[0])
+        raws = [raw for _, raw, _ in trace.steps]
+        assert raws == [raws[0]] * len(raws)
 
     def test_quadratic_decreases_then_explodes(self):
         x, y = quadratic_problem()
@@ -95,8 +94,7 @@ class TestRangeTest:
         trace = range_test(quadratic_model(), (x, y), cfg, rng_seed=0,
                            batch_size=2)
         assert trace.stop_reason == "diverged"
-        raws = trace.raw_losses
-        lrs = trace.lrs
+        lrs, raws, _ = map(np.array, zip(*trace.steps))
         below = raws[lrs < cliff * 0.9]
         assert np.all(np.diff(below) < 0)  # pure contraction region
         assert raws[-1] > below.min() * 10
@@ -106,8 +104,8 @@ class TestRangeTest:
         cfg = RangeTestConfig(lr_lo=1e-4, lr_hi=0.05, n_steps=25)
         trace = range_test(quadratic_model(), (x, y), cfg, rng_seed=0,
                            batch_size=2)
-        lrs = trace.lrs
-        assert np.all(np.diff(lrs) > 0)
+        lrs = [lr for lr, _, _ in trace.steps]
+        assert all(a < b for a, b in zip(lrs, lrs[1:]))
 
     def test_parameters_restored_bit_identical(self):
         x, y = quadratic_problem()
@@ -115,7 +113,7 @@ class TestRangeTest:
         before = [p.copy() for layer in model.param_layers()
                   for p in layer.params]
         cfg = RangeTestConfig(lr_lo=1e-4, lr_hi=1.0, n_steps=30)
-        range_test(model, (x, y), cfg, rng_seed=0, batch_size=2, momentum=0.9)
+        range_test(model, (x, y), cfg, rng_seed=0, batch_size=2)
         after = [p for layer in model.param_layers() for p in layer.params]
         for a, b in zip(before, after):
             assert np.array_equal(a, b)
@@ -145,8 +143,7 @@ class TestRangeTest:
         trace = range_test(quadratic_model(), (x, y), cfg, rng_seed=0,
                            batch_size=2)
         assert trace.stop_reason == "diverged"
-        assert trace.stopped_early
-        smoothed = trace.smoothed_losses
+        smoothed = np.array([s for _, _, s in trace.steps])
         factor = cfg.divergence_factor
         for i in range(1, len(smoothed)):
             violated = smoothed[i] > factor * smoothed[:i].min()
@@ -206,7 +203,7 @@ class TestSuggestLr:
         # drop must win
         smoothed = [3.0, 2.5, 2.4, 2.3, 2.2, 2.1, 0.5, 0.4, 0.3, 5.0]
         trace = make_trace(lrs, smoothed, reason="diverged")
-        assert suggest_lr(trace, tail_exclude=3) == pytest.approx(lrs[1])
+        assert suggest_lr(trace) == pytest.approx(lrs[1])
 
     def test_completed_trace_excludes_only_last_step(self):
         lrs = np.logspace(-4, 0, 6)
@@ -218,7 +215,7 @@ class TestSuggestLr:
         lrs = np.logspace(-4, 0, 5)
         trace = make_trace(lrs, [3, 2, 1, 0.5, 9.0], reason="diverged")
         with pytest.raises(NoDescentFound):
-            suggest_lr(trace, tail_exclude=3)
+            suggest_lr(trace)
 
     def test_bracketing_on_real_traces(self):
         x, y = quadratic_problem()

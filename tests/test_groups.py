@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrbench.data import make_blobs
-from lrbench.groups import (FeatureCache, GroupPartition, InvalidPartitionError,
+from lrbench.groups import (FeatureCache, InvalidPartitionError,
                             LayerGroupRates, default_partition, freeze_groups,
                             group_lr_at, head_model, partition_layers,
                             precompute_features, split_index)
@@ -39,27 +39,25 @@ class TestLayerGroupRates:
 
 class TestGroupPartition:
     def test_group_of_boundaries(self):
-        part = GroupPartition(b1=2, b2=5, n_layers=8)
-        assert [part.group_of(i) for i in range(8)] == [
+        model = Model([Dense(4, 4) for _ in range(8)])
+        partition_layers(model, 2, 5)
+        assert [l.group for l in model.param_layers()] == [
             "initial", "initial", "mid", "mid", "mid",
             "final", "final", "final"]
 
     def test_every_group_nonempty(self):
-        with pytest.raises(InvalidPartitionError):
-            GroupPartition(b1=0, b2=2, n_layers=4)
-        with pytest.raises(InvalidPartitionError):
-            GroupPartition(b1=2, b2=2, n_layers=4)
-        with pytest.raises(InvalidPartitionError):
-            GroupPartition(b1=1, b2=4, n_layers=4)
+        model = Model([Dense(4, 4) for _ in range(4)])
+        for b1, b2 in ((0, 2), (2, 2), (1, 4)):
+            with pytest.raises(InvalidPartitionError, match="non-empty"):
+                partition_layers(model, b1, b2)
 
 
 class TestPartitionLayers:
     def test_tags_match_partition(self):
         model = build_mlp((3, 8, 8), 3)
-        part = partition_layers(model, 1, 2)
+        partition_layers(model, 1, 2)
         layers = model.param_layers()
         assert [l.group for l in layers] == ["initial", "mid", "final"]
-        assert part.n_layers == 3
 
     def test_too_few_param_layers(self):
         model = Model([Dense(4, 4), Dense(4, 2)])
@@ -82,11 +80,6 @@ class TestPartitionLayers:
         groups = [l.group for l in model.param_layers()]
         assert groups[-1] == "final"
         assert groups.count("final") == 1
-
-    def test_default_partition_thirds_without_head(self):
-        model = Model([Dense(4, 4) for _ in range(6)])
-        b1, b2 = default_partition(model)
-        assert (b1, b2) == (2, 4)
 
 
 class TestFreezeGroups:

@@ -350,14 +350,12 @@ class TestDeterminismAndState:
 class TestBuilders:
     def test_mlp_structure(self):
         model = build_mlp((3, 8, 8), 10, seed=0)
-        assert model.designated_head
         assert len(model.param_layers()) == 3
         logits, _ = forward(model, np.zeros((2, 3, 8, 8), dtype=np.float32))
         assert logits.shape == (2, 10)
 
     def test_cnn_structure(self):
         model = build_cnn((3, 8, 8), 5, seed=0)
-        assert model.designated_head
         assert len(model.param_layers()) == 4
         logits, _ = forward(model, np.zeros((2, 3, 8, 8), dtype=np.float32))
         assert logits.shape == (2, 5)

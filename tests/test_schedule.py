@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from lrbench.schedule import (MAX_ITERATIONS, CosineCycleConfig,
-                              CycleOverflowError, InvalidScheduleError,
-                              cosine_lr, cycle_length, dump_schedule, locate,
-                              lr_at, write_schedule_csv)
+from lrbench.schedule import (CosineCycleConfig, InvalidScheduleError,
+                              cosine_lr, dump_schedule, lr_at,
+                              write_schedule_csv)
 
 
 def oracle_locate(t, cfg):
@@ -85,55 +84,54 @@ class TestConfigValidation:
 
 class TestCycleLength:
     def test_first_cycle(self):
-        assert cycle_length(0, CosineCycleConfig(eta_max=1, t0=100)) == 100
+        cfg = CosineCycleConfig(eta_max=1, t0=100)
+        assert lr_at(99, cfg) == cosine_lr(99, 100, cfg)
+        assert lr_at(100, cfg) == 1
 
     def test_doubling(self):
-        assert cycle_length(2, CosineCycleConfig(eta_max=1, t0=100)) == 400
+        # cycle 2 spans [300, 700)
+        cfg = CosineCycleConfig(eta_max=1, t0=100)
+        assert lr_at(300, cfg) == 1
+        assert lr_at(699, cfg) == cosine_lr(399, 400, cfg)
+        assert lr_at(700, cfg) == 1
 
     def test_constant_cycles(self):
         cfg = CosineCycleConfig(eta_max=1, t0=3, mult=1)
-        assert cycle_length(5, cfg) == 3
-
-    def test_overflow_guarded(self):
-        cfg = CosineCycleConfig(eta_max=1, t0=100)
-        with pytest.raises(CycleOverflowError):
-            cycle_length(70, cfg)
+        for k in range(3):
+            assert lr_at(5 * 3 + k, cfg) == cosine_lr(k, 3, cfg)
 
     def test_end_of_cycle_closed_form(self):
-        # cycle k under doubling ends at t0 * (2^(k+1) - 1); check against a
-        # brute-force running sum
+        # cycle k under doubling ends at t0 * (2^(k+1) - 1): the rate
+        # restarts there and the step before it is the cycle's last
         cfg = CosineCycleConfig(eta_max=1, t0=7, mult=2)
-        running = 0
         for k in range(21):
-            running += cycle_length(k, cfg)
-            assert running == 7 * (2 ** (k + 1) - 1)
+            restart = 7 * (2 ** (k + 1) - 1)
+            length = 7 * 2 ** k
+            assert lr_at(restart, cfg) == cfg.eta_max
+            assert lr_at(restart - 1, cfg) == cosine_lr(length - 1, length, cfg)
 
 
 class TestLocate:
     def test_origin(self):
-        cur = locate(0, CosineCycleConfig(eta_max=1, t0=100))
-        assert (cur.cycle_index, cur.t_within) == (0, 0)
+        assert lr_at(0, CosineCycleConfig(eta_max=1, t0=100)) == 1
 
     def test_first_boundary(self):
-        cur = locate(100, CosineCycleConfig(eta_max=1, t0=100))
-        assert (cur.cycle_index, cur.t_within) == (1, 0)
+        assert lr_at(100, CosineCycleConfig(eta_max=1, t0=100)) == 1
 
     def test_inside_third_cycle(self):
-        cur = locate(650, CosineCycleConfig(eta_max=1, t0=100))
-        assert (cur.cycle_index, cur.t_within) == (2, 350)
+        cfg = CosineCycleConfig(eta_max=1, t0=100)
+        assert lr_at(650, cfg) == cosine_lr(350, 400, cfg)
 
     def test_cursor_invariants_random_sweep(self):
+        # mult=1 takes a closed-form path; both paths must place t exactly
+        # where the cumulative-sum oracle does
         rng = np.random.default_rng(7)
         for _ in range(300):
             cfg = CosineCycleConfig(eta_max=1.0, t0=int(rng.integers(1, 50)),
                                     mult=int(rng.integers(1, 4)))
             t = int(rng.integers(0, 100_000))
-            cur = locate(t, cfg)
             k, tw = oracle_locate(t, cfg)
-            assert (cur.cycle_index, cur.t_within) == (k, tw)
-            assert 0 <= cur.t_within < cycle_length(cur.cycle_index, cfg)
-            consumed = sum(cycle_length(i, cfg) for i in range(cur.cycle_index))
-            assert consumed + cur.t_within == t
+            assert lr_at(t, cfg) == cosine_lr(tw, cfg.t0 * cfg.mult ** k, cfg)
 
 
 class TestLrAt:
@@ -151,11 +149,14 @@ class TestLrAt:
         rng = np.random.default_rng(11)
         cfg = CosineCycleConfig(eta_max=0.7, eta_min=0.01, t0=37, mult=2)
         for t in rng.integers(0, 10 ** 6, size=2000):
-            cur = locate(int(t), cfg)
-            direct = lr_at(int(t), cfg)
-            composed = cosine_lr(cur.t_within,
-                                 cycle_length(cur.cycle_index, cfg), cfg)
-            assert direct == composed
+            k, tw = oracle_locate(int(t), cfg)
+            composed = cosine_lr(tw, cfg.t0 * cfg.mult ** k, cfg)
+            assert lr_at(int(t), cfg) == composed
+
+    def test_negative_iteration_rejected(self):
+        for mult in (1, 2):
+            with pytest.raises(InvalidScheduleError, match="t_global"):
+                lr_at(-1, CosineCycleConfig(eta_max=0.01, t0=100, mult=mult))
 
     def test_random_sweep_against_oracle(self):
         rng = np.random.default_rng(3)
@@ -217,7 +218,3 @@ def test_csv_has_ten_significant_digits():
     mantissa = buf.getvalue().split("\n")[1].split(",")[1]
     digits = mantissa.split("e")[0].replace(".", "").lstrip("-0")
     assert len(digits) >= 10
-
-
-def test_max_iterations_is_sixty_four_bit():
-    assert MAX_ITERATIONS == 2 ** 63 - 1
