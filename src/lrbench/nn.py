@@ -54,7 +54,8 @@ class NonFiniteLossError(FloatingPointError):
 
 class Layer:
     """Base layer. Parameterized subclasses set parallel lists of
-    parameter, gradient, and velocity arrays."""
+    parameter, gradient, and velocity arrays, and their backward takes
+    ``need_input_grad``: False skips the input gradient and returns None."""
 
     group: str | None = None
     frozen: bool = False
@@ -97,17 +98,35 @@ class Dense(Layer):
             y = y + self.b
         return y, x
 
-    def backward(self, grad_out, cache):
+    def backward(self, grad_out, cache, need_input_grad=True):
         x = cache
         if not self.frozen:
             self.grads[0][...] = x.T @ grad_out
             if self.b is not None:
                 self.grads[1][...] = grad_out.sum(axis=0)
-        return grad_out @ self.W.T
+        return grad_out @ self.W.T if need_input_grad else None
+
+
+# Input rows per im2col block in Conv2d.forward: the columns are k*k times
+# the input, and evaluate and precompute_features pass up to 256 rows.
+_CONV_BLOCK_ROWS = 16
+
+
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+    """Columns of a padded (n, c, h + k - 1, w + k - 1) input, channel-major:
+    (c*k*k, n*h*w), so the gather copies rows of w contiguous elements."""
+    c = xp.shape[1]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, -1)
 
 
 class Conv2d(Layer):
-    """3x3-style convolution, stride 1, zero padding that preserves H and W."""
+    """3x3-style convolution, stride 1, zero padding that preserves H and W.
+
+    Computed as im2col plus one GEMM. Forward builds the columns over
+    _CONV_BLOCK_ROWS input rows at a time; only the padded input is cached,
+    and backward rebuilds the columns.
+    """
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int = 3,
                  dtype=np.float32, rng: np.random.Generator | None = None):
@@ -129,33 +148,38 @@ class Conv2d(Layer):
                 f"{self.name or 'conv'}: {x.shape[1]} channels != expected {self.W.shape[1]}"
             )
         n, _, h, w = x.shape
-        p = self.pad
+        o, p, rows = self.W.shape[0], self.pad, _CONV_BLOCK_ROWS
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        y = np.zeros((n, self.W.shape[0], h, w), dtype=x.dtype)
-        for di in range(self.ksize):
-            for dj in range(self.ksize):
-                xs = xp[:, :, di:di + h, dj:dj + w]
-                y += np.einsum("nchw,oc->nohw", xs, self.W[:, :, di, dj])
-        y += self.b[None, :, None, None]
-        return y, xp
+        wm = self.W.reshape(o, -1)
+        y = np.empty((o, n * h * w), dtype=x.dtype)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            np.matmul(wm, _im2col(xp[start:stop], self.ksize),
+                      out=y[:, start * h * w:stop * h * w])
+        y += self.b[:, None]
+        return y.reshape(o, n, h, w).transpose(1, 0, 2, 3), xp
 
-    def backward(self, grad_out, cache):
+    def backward(self, grad_out, cache, need_input_grad=True):
         xp = cache
-        n, _, h, w = grad_out.shape
-        p = self.pad
+        n, o, h, w = grad_out.shape
+        k, p = self.ksize, self.pad
+        g2 = grad_out.transpose(1, 0, 2, 3).reshape(o, -1)
         if not self.frozen:
-            for di in range(self.ksize):
-                for dj in range(self.ksize):
-                    xs = xp[:, :, di:di + h, dj:dj + w]
-                    self.grads[0][:, :, di, dj] = np.einsum("nohw,nchw->oc", grad_out, xs)
-            self.grads[1][...] = grad_out.sum(axis=(0, 2, 3))
-        gxp = np.zeros_like(xp)
-        for di in range(self.ksize):
-            for dj in range(self.ksize):
-                gxp[:, :, di:di + h, dj:dj + w] += np.einsum(
-                    "nohw,oc->nchw", grad_out, self.W[:, :, di, dj]
-                )
-        return gxp[:, :, p:p + h, p:p + w]
+            # (cols @ g2.T).T is g2 @ cols.T; OpenBLAS runs this operand
+            # order faster at these shapes
+            self.grads[0][...] = (_im2col(xp, k) @ g2.T).T.reshape(self.W.shape)
+            self.grads[1][...] = g2.sum(axis=1)
+        if not need_input_grad:
+            return None
+        # col2im: each of the k*k kernel offsets adds its slice of the column
+        # gradient into a shifted window of the padded input gradient
+        c = xp.shape[1]
+        gcols = (self.W.reshape(o, -1).T @ g2).reshape(c, k, k, n, h, w)
+        gxp = np.zeros((c, n) + xp.shape[2:], dtype=grad_out.dtype)
+        for di in range(k):
+            for dj in range(k):
+                gxp[:, :, di:di + h, dj:dj + w] += gcols[:, di, dj]
+        return gxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
 
 
 class ReLU(Layer):
@@ -167,8 +191,17 @@ class ReLU(Layer):
         return grad_out * cache
 
 
+# the four positions of a 2x2 pooling window, in row-major order
+_POOL_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 class MaxPool2(Layer):
-    """2x2 max pooling with stride 2. Requires even spatial dims."""
+    """2x2 max pooling with stride 2. Requires even spatial dims.
+
+    Ties go to the first maximum in row-major window order, as argmax
+    breaks them; windows of zeros after a ReLU are common. The gradient of
+    each window goes to that one element.
+    """
 
     def forward(self, x):
         if x.ndim != 4:
@@ -176,24 +209,22 @@ class MaxPool2(Layer):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ShapeError(f"{self.name or 'pool'}: spatial dims must be even, got {h}x{w}")
-        xr = (
-            x.reshape(n, c, h // 2, 2, w // 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h // 2, w // 2, 4)
-        )
-        argmax = xr.argmax(axis=-1)
-        y = np.take_along_axis(xr, argmax[..., None], axis=-1)[..., 0]
-        return y, (argmax, x.shape)
+        quads = [x[:, :, i::2, j::2] for i, j in _POOL_WINDOW]
+        y = np.maximum(np.maximum(quads[0], quads[1]),
+                       np.maximum(quads[2], quads[3]))
+        first = quads[0] == y
+        second = (quads[1] == y) & ~first
+        taken = first | second
+        third = (quads[2] == y) & ~taken
+        return y, ((first, second, third, ~(taken | third)), x.shape)
 
     def backward(self, grad_out, cache):
-        argmax, (n, c, h, w) = cache
-        g4 = np.zeros((n, c, h // 2, w // 2, 4), dtype=grad_out.dtype)
-        np.put_along_axis(g4, argmax[..., None], grad_out[..., None], axis=-1)
-        return (
-            g4.reshape(n, c, h // 2, w // 2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        masks, shape = cache
+        g = np.empty(shape, dtype=grad_out.dtype)
+        for (i, j), mask in zip(_POOL_WINDOW, masks):
+            # a slot that lost gets grad * 0, a zero with grad's sign
+            np.multiply(grad_out, mask, out=g[:, :, i::2, j::2])
+        return g
 
 
 class Flatten(Layer):
@@ -303,8 +334,10 @@ def backward(model: Model, logits: np.ndarray, labels: np.ndarray, caches,
     """Fill every layer's gradients with the exact gradient of
     mean loss + (weight_decay/2) * ||unfrozen params||^2; returns that value.
 
-    Frozen layers end up with all-zero gradients. When a training loop applies
-    weight decay here it must not apply it again in sgd_step.
+    Frozen layers end up with all-zero gradients. Nothing below the lowest
+    trainable layer's weights is computed: that layer returns no input
+    gradient and the layers under it are not called. When a training loop
+    applies weight decay here it must not apply it again in sgd_step.
     """
     loss, grad = _loss_and_grad(model, logits, labels)
     if not math.isfinite(loss):
@@ -312,15 +345,17 @@ def backward(model: Model, logits: np.ndarray, labels: np.ndarray, caches,
 
     for layer in model.layers:
         layer.zero_grads()
-    # backprop only as far down as the earliest unfrozen parameterized layer
+    # backprop ends at the lowest trainable layer's weight gradients
     lowest = None
     for i, layer in enumerate(model.layers):
         if layer.params and not layer.frozen:
             lowest = i
             break
     if lowest is not None:
-        for i in range(len(model.layers) - 1, lowest - 1, -1):
+        for i in range(len(model.layers) - 1, lowest, -1):
             grad = model.layers[i].backward(grad, caches[i])
+        model.layers[lowest].backward(grad, caches[lowest],
+                                      need_input_grad=False)
 
     if weight_decay:
         for layer in model.layers:

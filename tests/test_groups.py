@@ -155,6 +155,18 @@ class TestPrecomputeFeatures:
         cached, _ = forward(head, cache.features)
         np.testing.assert_array_equal(full, cached)
 
+    def test_cached_cnn_head_logits_match_full_forward_f32(self):
+        model = build_cnn((3, 8, 8), 3, seed=0)
+        partition_layers(model, *default_partition(model))
+        freeze_groups(model, {"initial", "mid"})
+        # 300 rows: two cache batches, each many conv im2col blocks
+        ds = make_blobs(n_per_class=100, seed=1)
+        cache = precompute_features(model, (ds.images, ds.labels))
+        head = head_model(model)
+        full, _ = forward(model, ds.images)
+        cached, _ = forward(head, cache.features)
+        np.testing.assert_array_equal(full, cached)
+
     def test_requires_frozen_body(self):
         model = partitioned_mlp()
         ds = make_blobs(n_per_class=5)

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import max_grad_rel_error
 from lrbench.groups import LayerGroupRates
-from lrbench.nn import (Conv2d, Dense, Flatten, MaxPool2, Model,
-                        NonFiniteLossError, ReLU, ShapeError, backward,
+from lrbench.nn import (_CONV_BLOCK_ROWS, Conv2d, Dense, Flatten, MaxPool2,
+                        Model, NonFiniteLossError, ReLU, ShapeError, backward,
                         build_cnn, build_mlp, forward, sgd_step,
                         softmax_cross_entropy, train_step)
 
@@ -92,7 +92,10 @@ class TestForward:
         rng = f64_rng(5)
         conv = Conv2d(2, 3, 3, dtype=np.float64, rng=rng)
         conv.b[...] = rng.random(3)
-        x = rng.random((2, 2, 4, 4))
+        # more rows than one im2col block, and a short last block
+        rows = 19
+        assert rows > _CONV_BLOCK_ROWS and rows % _CONV_BLOCK_ROWS
+        x = rng.random((rows, 2, 4, 4))
         model = Model([conv], dtype=np.float64)
         y, _ = forward(model, x)
         assert np.allclose(y, conv_naive(x, conv.W, conv.b), atol=1e-12)
@@ -103,6 +106,22 @@ class TestForward:
         model = Model([MaxPool2()], dtype=np.float64)
         y, _ = forward(model, x)
         assert np.array_equal(y, pool_naive(x))
+
+    def test_pool_ties_go_to_the_first_element_in_row_major_order(self):
+        # four 2x2 windows side by side; the first maximum of each, in
+        # row-major window order, is marked
+        x = np.array([[[[0.0, 0.0, 1.0, 3.0, 2.0, 1.0, -1.0, -2.0],
+                        [0.0, -0.0, 3.0, 3.0, 2.0, 2.0, 5.0, 5.0]]]])
+        first = np.array([[[[1, 0, 0, 1, 1, 0, 0, 0],
+                            [0, 0, 0, 0, 0, 0, 1, 0]]]], dtype=bool)
+        pool = MaxPool2()
+        y, cache = pool.forward(x)
+        assert np.array_equal(y, [[[[0.0, 3.0, 2.0, 5.0]]]])
+        g = np.array([[[[0.5, -2.0, 3.0, 7.0]]]])
+        back = pool.backward(g, cache)
+        expected = np.zeros_like(x)
+        expected[first] = g.ravel()
+        assert np.array_equal(back, expected)
 
     def test_pool_rejects_odd_dims(self):
         model = Model([MaxPool2()], dtype=np.float32)
@@ -183,6 +202,90 @@ class TestBackward:
                        Dense(12, 2, dtype=np.float64, rng=rng)],
                       dtype=np.float64)
         assert max_grad_rel_error(model, x, y) < 1e-4
+
+    def test_conv_input_gradient_through_a_second_conv(self):
+        # the second conv's input gradient reaches the first conv's weights
+        rng = f64_rng(9)
+        x = rng.random((3, 2, 4, 4))
+        y = rng.integers(0, 2, size=3)
+        model = Model([Conv2d(2, 3, 3, dtype=np.float64, rng=rng), ReLU(),
+                       MaxPool2(), Conv2d(3, 4, 3, dtype=np.float64, rng=rng),
+                       ReLU(), Flatten(),
+                       Dense(16, 2, dtype=np.float64, rng=rng)],
+                      dtype=np.float64)
+        assert max_grad_rel_error(model, x, y) < 1e-4
+
+    def test_lowest_trainable_layer_skips_its_input_gradient(self):
+        rng = f64_rng(10)
+        lowest = Dense(3, 2, dtype=np.float64, rng=rng)
+        model = Model([Dense(4, 3, dtype=np.float64, rng=rng), ReLU(), lowest],
+                      dtype=np.float64)
+        model.layers[0].frozen = True
+        flags = []
+        original = lowest.backward
+
+        def backward_spy(grad_out, cache, **kwargs):
+            flags.append(kwargs)
+            return original(grad_out, cache, **kwargs)
+        lowest.backward = backward_spy
+        logits, caches = forward(model, rng.random((5, 4)))
+        backward(model, logits, np.array([0, 1, 1, 0, 1]), caches)
+        assert flags == [{"need_input_grad": False}]
+
+        cases = [(Dense(6, 4, dtype=np.float64, rng=rng), rng.random((5, 6)),
+                  (5, 4)),
+                 (Conv2d(2, 3, 3, dtype=np.float64, rng=rng),
+                  rng.random((5, 2, 4, 4)), (5, 3, 4, 4))]
+        for layer, x, out_shape in cases:
+            _, cache = layer.forward(x)
+            g = rng.standard_normal(out_shape)
+            assert layer.backward(g, cache).shape == x.shape
+            full = [grad.copy() for grad in layer.grads]
+            layer.zero_grads()
+            assert layer.backward(g, cache, need_input_grad=False) is None
+            for a, b in zip(layer.grads, full):
+                assert np.array_equal(a, b)
+
+    def test_backprop_stops_at_the_lowest_trainable_layer(self):
+        rng = f64_rng(11)
+        x = rng.random((4, 5))
+        labels = np.array([0, 1, 1, 0])
+
+        def model_with(frozen_first):
+            r = f64_rng(12)
+            first = Dense(5, 6, dtype=np.float64, rng=r)
+            first.frozen = frozen_first
+            return Model([first, ReLU(), Dense(6, 4, dtype=np.float64, rng=r),
+                          ReLU(), Dense(4, 2, dtype=np.float64, rng=r)],
+                         dtype=np.float64)
+
+        model = model_with(frozen_first=True)
+        calls = []
+
+        def spy(index):
+            layer = model.layers[index]
+            original = layer.backward
+
+            def backward_spy(grad_out, cache, **kwargs):
+                calls.append(index)
+                result = original(grad_out, cache, **kwargs)
+                # whatever the lowest trainable layer returns goes unused
+                return None if index == 2 else result
+            layer.backward = backward_spy
+
+        for index in range(len(model.layers)):
+            spy(index)
+        logits, caches = forward(model, x)
+        loss = backward(model, logits, labels, caches)
+        assert calls == [4, 3, 2]
+        assert all(np.all(g == 0.0) for g in model.layers[0].grads)
+
+        full = model_with(frozen_first=False)
+        logits, caches = forward(full, x)
+        assert backward(full, logits, labels, caches) == loss
+        for i in (2, 4):
+            for a, b in zip(model.layers[i].grads, full.layers[i].grads):
+                assert np.array_equal(a, b)
 
     def test_frozen_layers_get_zero_grads(self):
         rng = f64_rng(1)
