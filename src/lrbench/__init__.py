@@ -2,7 +2,7 @@
 
 Cosine annealing with warm restarts and doubling cycle lengths, an LR range
 test with a suggestion heuristic, three-group differential learning rates,
-freeze-and-precompute fine-tuning, a small numpy neural-network trainer with
+cached-feature head training, a small numpy neural-network trainer with
 checked gradients, and a CLI that benchmarks a conventional fixed-rate
 baseline against the optimized pipeline.
 """
@@ -13,8 +13,8 @@ from .data import Dataset, augment, load_cifar10, make_blobs, normalize, split
 from .errors import ConfigError, DataError, LRBenchError
 from .finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
                      range_test, suggest_lr)
-from .groups import (FeatureCache, LayerGroupRates, freeze_groups,
-                     group_lr_at, partition_layers, precompute_features)
+from .groups import (FeatureCache, LayerGroupRates, group_lr_at,
+                     partition_layers, precompute_features)
 from .nn import Model, backward, build_cnn, build_mlp, forward, sgd_step
 from .schedule import CosineCycleConfig, cosine_lr, dump_schedule, lr_at
 from .train import EarlyStopState, TrainConfig, early_stop_update, evaluate
@@ -28,8 +28,8 @@ __all__ = [
     "ConfigError", "DataError", "LRBenchError",
     "LRFinderTrace", "NoDescentFound", "RangeTestConfig", "range_test",
     "suggest_lr",
-    "FeatureCache", "LayerGroupRates", "freeze_groups",
-    "group_lr_at", "partition_layers", "precompute_features",
+    "FeatureCache", "LayerGroupRates", "group_lr_at", "partition_layers",
+    "precompute_features",
     "Model", "backward", "build_cnn", "build_mlp", "forward", "sgd_step",
     "CosineCycleConfig", "cosine_lr", "dump_schedule", "lr_at",
     "EarlyStopState", "TrainConfig", "early_stop_update", "evaluate",

@@ -1,11 +1,12 @@
 """Benchmark pipelines: conventional two-rate baseline vs. the optimized
-range-test / freeze-precompute / differential-rate pipeline, plus reporting.
+range-test / cached-head / differential-rate pipeline, plus reporting.
 
 The conventional run trains the whole model at a fixed rate until early
 stopping, then resumes at a lower fixed rate. The optimized run finds a peak
 rate with the range test, shapes the classifier head on cached features
-under a restarting cosine schedule, then unfreezes everything and fine-tunes
-with per-group rates whose cycles double in length.
+under a restarting cosine schedule (the body stays fixed because only the
+head view trains), then fine-tunes the whole model with per-group rates
+whose cycles double in length.
 
 Wall time is measured with a monotonic clock around the training loops only;
 dataset loading is excluded. One benchmark per process; the two pipelines
@@ -24,9 +25,8 @@ from .data import (CIFAR10_MEAN, CIFAR10_STD, Dataset, load_cifar10,
                    make_blobs, normalize, split)
 from .errors import ConfigError
 from .finder import LRFinderTrace, RangeTestConfig, range_test, suggest_lr
-from .groups import (LayerGroupRates, default_partition, freeze_groups,
-                     group_lr_at, head_model, partition_layers,
-                     precompute_features)
+from .groups import (LayerGroupRates, default_partition, group_lr_at,
+                     head_model, partition_layers, precompute_features)
 from .nn import Model, build_cnn, build_mlp, forward
 from .schedule import CosineCycleConfig, lr_at
 from .train import (EarlyStopState, EpochRecord, TrainConfig,
@@ -198,21 +198,21 @@ def run_conventional(cfg: BenchConfig,
             lr_fn=lambda t: cfg.lr2, cfg=train_cfg,
             max_epochs=cfg.train.max_epochs,
             stopper=EarlyStopState(cfg.patience, cfg.min_delta),
-            target_accuracy=cfg.target_accuracy, history=history,
-            epoch_offset=ep1)
+            target_accuracy=cfg.target_accuracy, history=history)
     phases.append(PhaseResult("fixed_lr2", ep2, acc2, time.perf_counter() - start))
     return finish_report(model, valid_ds, phases, reached, history)
 
 
 def run_optimized(cfg: BenchConfig,
                   data: tuple[Dataset, Dataset] | None = None) -> RunReport:
-    """Three-phase pipeline: (1) range test picks the peak rate; (2) freeze
-    initial+mid groups, cache head inputs, train the head on the cache under
-    a restarting cosine schedule for up to head_epochs; (3) unfreeze all and
-    fine-tune with per-group rates under doubling cycles until early stopping
-    or the accuracy target. Validation accuracy is checked after every epoch
-    in phases 2 and 3; reaching the target ends the pipeline, so a head that
-    already meets it makes phase 3 a zero-epoch entry.
+    """Three-phase pipeline: (1) range test picks the peak rate; (2) cache
+    the head's inputs from one pass through the body, then train the head
+    view (the final group alone) on the cache under a restarting cosine
+    schedule for up to head_epochs, leaving the body fixed; (3) fine-tune
+    the whole model with per-group rates under doubling cycles until early
+    stopping or the accuracy target. Validation accuracy is checked after
+    every epoch in phases 2 and 3; reaching the target ends the pipeline,
+    so a head that already meets it makes phase 3 a zero-epoch entry.
 
     Raises NoDescentFound if the range test yields no usable suggestion.
     """
@@ -229,7 +229,6 @@ def run_optimized(cfg: BenchConfig,
     phases.append(PhaseResult("range_test", 0, acc0, time.perf_counter() - start))
 
     start = time.perf_counter()
-    freeze_groups(model, {"initial", "mid"})
     train_cache = precompute_features(model, (train_ds.images, train_ds.labels))
     valid_cache = precompute_features(model, (valid_ds.images, valid_ds.labels))
     head = head_model(model)
@@ -248,7 +247,6 @@ def run_optimized(cfg: BenchConfig,
     phases.append(PhaseResult("head_sgdr", ep2, acc2, time.perf_counter() - start))
 
     start = time.perf_counter()
-    freeze_groups(model, set())
     model.zero_velocity()
     reached = acc2 >= cfg.target_accuracy
     if reached:
@@ -260,8 +258,7 @@ def run_optimized(cfg: BenchConfig,
             lr_fn=lambda t: group_lr_at(t, cfg.rates, cfg.sched),
             cfg=cfg.train, max_epochs=cfg.train.max_epochs,
             stopper=EarlyStopState(cfg.patience, cfg.min_delta),
-            target_accuracy=cfg.target_accuracy, history=history,
-            epoch_offset=ep2)
+            target_accuracy=cfg.target_accuracy, history=history)
     phases.append(PhaseResult("dlr_clm", ep3, acc3, time.perf_counter() - start))
     return finish_report(model, valid_ds, phases, reached, history, eta_max)
 

@@ -149,6 +149,8 @@ def cmd_confusion(args) -> None:
                     continue
                 try:
                     true_id, pred_id = map(int, line.strip().split(","))
+                    if min(true_id, pred_id) < 0:
+                        raise ValueError(f"negative class id in {line.strip()!r}")
                 except ValueError as err:
                     raise DataError(f"{args.pred}:{lineno}: {err}") from err
                 pairs.append((true_id, pred_id))

@@ -109,9 +109,8 @@ def load_cifar10(path, n_per_class: int) -> Dataset:
     else:
         raise DataError(f"no such file or directory: {p}")
 
-    images: list[np.ndarray] = []
-    labels: list[int] = []
-    counts = [0] * 10
+    records: list[np.ndarray] = []
+    counts = np.zeros(10, dtype=np.int64)
     for f in files:
         raw = f.read_bytes()
         n_full, leftover = divmod(len(raw), RECORD_BYTES)
@@ -120,28 +119,27 @@ def load_cifar10(path, n_per_class: int) -> Dataset:
                 f"{f}: truncated record at byte offset {n_full * RECORD_BYTES} "
                 f"({leftover} trailing bytes)"
             )
-        for r in range(n_full):
-            offset = r * RECORD_BYTES
-            label = raw[offset]
-            if label > 9:
-                raise DataError(
-                    f"{f}: invalid label byte {label} at offset {offset}"
-                )
-            if counts[label] >= n_per_class:
-                continue
-            counts[label] += 1
-            pixels = np.frombuffer(raw, dtype=np.uint8, count=3072, offset=offset + 1)
-            images.append(pixels.reshape(3, 32, 32).astype(np.float32) / np.float32(255))
-            labels.append(label)
-        if all(c >= n_per_class for c in counts):
+        recs = np.frombuffer(raw, dtype=np.uint8).reshape(n_full, RECORD_BYTES)
+        label = recs[:, 0].astype(np.int64)
+        bad = np.flatnonzero(label > 9)
+        if bad.size:
+            raise DataError(f"{f}: invalid label byte {label[bad[0]]} at "
+                            f"offset {bad[0] * RECORD_BYTES}")
+        # a record is kept while its class, counted in file order, is short
+        seen = np.cumsum(label[:, None] == np.arange(10), axis=0)
+        keep = recs[counts[label] + seen[np.arange(n_full), label] <= n_per_class]
+        records.append(keep)
+        counts += np.bincount(keep[:, 0], minlength=10)
+        if (counts >= n_per_class).all():
             break
     short = [c for c, n in enumerate(counts) if n < n_per_class]
     if short:
         raise DataError(
             f"classes {short} have fewer than {n_per_class} samples in {p}"
         )
-    return Dataset(np.stack(images), np.array(labels, dtype=np.int64),
-                   list(CIFAR10_CLASSES))
+    recs = np.concatenate(records)
+    images = recs[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / np.float32(255)
+    return Dataset(images, recs[:, 0].astype(np.int64), list(CIFAR10_CLASSES))
 
 
 def split(dataset: Dataset, num: int, den: int, seed: int = 0) -> tuple[Dataset, Dataset]:

@@ -1,14 +1,15 @@
-"""Layer groups: partition, freeze, feature precomputation, per-group rates.
+"""Layer groups: partition, head view, feature cache, per-group rates.
 
 A model's parameterized layers are split into three ordered groups (initial,
-mid, final). Groups can be frozen for fine-tuning, the final group's input
-activations can be cached so the head trains without repeated full forward
-passes, and each group gets its own base learning rate scaled by a shared
-cosine annealing factor so the ratios between groups never drift.
+mid, final). The final group's input activations can be cached so the head
+trains without repeated full forward passes; the body stays fixed because
+that training runs on head_model, a view that holds only the final group.
+Each group gets its own base learning rate scaled by a shared cosine
+annealing factor so the ratios between groups never drift.
 
-partition_layers and freeze_groups mutate the model and need exclusive
-access. group_lr_at is pure. A FeatureCache is immutable once built and safe
-to share across threads.
+partition_layers mutates the model and needs exclusive access. group_lr_at
+is pure. A FeatureCache is immutable once built and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "InvalidPartitionError",
     "partition_layers",
     "default_partition",
-    "freeze_groups",
     "split_index",
     "head_model",
     "precompute_features",
@@ -101,18 +101,6 @@ def default_partition(model: Model) -> tuple[int, int]:
     return max(1, (n - 1) // 2), n - 1
 
 
-def freeze_groups(model: Model, frozen: set) -> None:
-    """Freeze exactly the given groups; everything else becomes trainable."""
-    bad = set(frozen) - set(GROUP_ORDER)
-    if bad:
-        raise ValueError(f"unknown group tags {sorted(bad)}; expected {GROUP_ORDER}")
-    layers = model.param_layers()
-    if any(layer.group is None for layer in layers):
-        raise InvalidPartitionError("freeze_groups requires partition_layers first")
-    for layer in layers:
-        layer.frozen = layer.group in frozen
-
-
 def split_index(model: Model) -> int:
     """Index into model.layers where the final group starts (the first
     parameterized layer tagged ``final``). Parameter-free layers before it
@@ -126,24 +114,20 @@ def split_index(model: Model) -> int:
 def head_model(model: Model) -> Model:
     """A view of the final group as a standalone model. Layers (and thus
     parameters and velocities) are shared with the original, so training the
-    head view updates the real model."""
+    head view updates the real model and leaves the body as it was."""
     return Model(model.layers[split_index(model):], dtype=model.dtype,
                  loss=model.loss)
 
 
 def precompute_features(model: Model, data, batch_size: int = 256) -> FeatureCache:
     """One deterministic pass of ``data``, an (images, labels) pair, through
-    the frozen body, caching the final group's input activations in f32.
+    the body (every layer below the final group), caching the final group's
+    input activations in f32.
 
-    All parameterized layers outside the final group must be frozen first;
-    no augmentation happens here. In f32 mode, head logits computed from the
-    cache are bit-identical to full forward passes.
+    No augmentation happens here. The cache holds while the body does not
+    change, as when only head_model(model) trains on it. In f32 mode, head
+    logits computed from the cache are bit-identical to full forward passes.
     """
-    for layer in model.param_layers():
-        if layer.group != "final" and not layer.frozen:
-            raise ValueError(
-                f"layer {layer.name} ({layer.group}) must be frozen before precompute"
-            )
     split = split_index(model)
     body = model.layers[:split]
     images, labels = map(np.asarray, data)

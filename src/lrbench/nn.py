@@ -58,7 +58,6 @@ class Layer:
     ``need_input_grad``: False skips the input gradient and returns None."""
 
     group: str | None = None
-    frozen: bool = False
     name: str = ""
     params = grads = vel = ()
 
@@ -67,10 +66,6 @@ class Layer:
 
     def backward(self, grad_out: np.ndarray, cache):
         raise NotImplementedError
-
-    def zero_grads(self) -> None:
-        for g in self.grads:
-            g[...] = 0.0
 
 
 class Dense(Layer):
@@ -100,10 +95,9 @@ class Dense(Layer):
 
     def backward(self, grad_out, cache, need_input_grad=True):
         x = cache
-        if not self.frozen:
-            self.grads[0][...] = x.T @ grad_out
-            if self.b is not None:
-                self.grads[1][...] = grad_out.sum(axis=0)
+        self.grads[0][...] = x.T @ grad_out
+        if self.b is not None:
+            self.grads[1][...] = grad_out.sum(axis=0)
         return grad_out @ self.W.T if need_input_grad else None
 
 
@@ -164,11 +158,10 @@ class Conv2d(Layer):
         n, o, h, w = grad_out.shape
         k, p = self.ksize, self.pad
         g2 = grad_out.transpose(1, 0, 2, 3).reshape(o, -1)
-        if not self.frozen:
-            # (cols @ g2.T).T is g2 @ cols.T; OpenBLAS runs this operand
-            # order faster at these shapes
-            self.grads[0][...] = (_im2col(xp, k) @ g2.T).T.reshape(self.W.shape)
-            self.grads[1][...] = g2.sum(axis=1)
+        # (cols @ g2.T).T is g2 @ cols.T; OpenBLAS runs this operand order
+        # faster at these shapes
+        self.grads[0][...] = (_im2col(xp, k) @ g2.T).T.reshape(self.W.shape)
+        self.grads[1][...] = g2.sum(axis=1)
         if not need_input_grad:
             return None
         # col2im: each of the k*k kernel offsets adds its slice of the column
@@ -331,26 +324,22 @@ def _loss_and_grad(model: Model, logits: np.ndarray, labels: np.ndarray):
 
 def backward(model: Model, logits: np.ndarray, labels: np.ndarray, caches,
              weight_decay: float = 0.0) -> float:
-    """Fill every layer's gradients with the exact gradient of
-    mean loss + (weight_decay/2) * ||unfrozen params||^2; returns that value.
+    """Write each parameterized layer's gradients once, with the exact
+    gradient of mean loss + (weight_decay/2) * ||params||^2; returns that
+    value. Every parameter trains: to keep layers fixed, pass a model that
+    leaves them out, as the head phase does with groups.head_model.
 
-    Frozen layers end up with all-zero gradients. Nothing below the lowest
-    trainable layer's weights is computed: that layer returns no input
-    gradient and the layers under it are not called. When a training loop
-    applies weight decay here it must not apply it again in sgd_step.
+    Nothing below the lowest parameterized layer's weights is computed: that
+    layer returns no input gradient and the layers under it are not called.
+    When a training loop applies weight decay here it must not apply it
+    again in sgd_step.
     """
     loss, grad = _loss_and_grad(model, logits, labels)
     if not math.isfinite(loss):
         raise NonFiniteLossError(loss)
 
-    for layer in model.layers:
-        layer.zero_grads()
-    # backprop ends at the lowest trainable layer's weight gradients
-    lowest = None
-    for i, layer in enumerate(model.layers):
-        if layer.params and not layer.frozen:
-            lowest = i
-            break
+    lowest = next((i for i, layer in enumerate(model.layers) if layer.params),
+                  None)
     if lowest is not None:
         for i in range(len(model.layers) - 1, lowest, -1):
             grad = model.layers[i].backward(grad, caches[i])
@@ -358,9 +347,7 @@ def backward(model: Model, logits: np.ndarray, labels: np.ndarray, caches,
                                       need_input_grad=False)
 
     if weight_decay:
-        for layer in model.layers:
-            if not layer.params or layer.frozen:
-                continue
+        for layer in model.param_layers():
             for p, g in zip(layer.params, layer.grads):
                 loss += 0.5 * weight_decay * float(np.sum(p.astype(np.float64) ** 2))
                 g += weight_decay * p
@@ -384,16 +371,14 @@ def _group_lr(lr, layer: Layer) -> float:
 
 def sgd_step(model: Model, lr, momentum: float = 0.0,
              weight_decay: float = 0.0) -> None:
-    """One SGD-with-momentum update: v <- momentum*v + (g + weight_decay*p),
-    p <- p - lr*v, skipping frozen layers.
+    """One SGD-with-momentum update of every parameterized layer:
+    v <- momentum*v + (g + weight_decay*p), p <- p - lr*v.
 
     ``lr`` is a scalar or an (initial, mid, final) tuple of per-group rates;
     anything else raises ValueError. Weight decay is coupled (added to the
     gradient); pass it either here or to backward, not both.
     """
     for layer in model.param_layers():
-        if layer.frozen:
-            continue
         step_lr = _group_lr(lr, layer)
         for p, g, v in zip(layer.params, layer.grads, layer.vel):
             eff = g + weight_decay * p if weight_decay else g

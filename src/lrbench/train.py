@@ -125,16 +125,17 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
                 phase_name: str, phase_index: int, lr_fn, cfg: TrainConfig,
                 max_epochs: int, stopper: EarlyStopState | None = None,
                 target_accuracy: float | None = None,
-                history: list[EpochRecord] | None = None,
-                epoch_offset: int = 0) -> tuple[float, int, bool]:
+                history: list[EpochRecord] | None = None) -> tuple[float, int, bool]:
     """Run one training phase; returns (final_valid_acc, epochs_run, reached).
 
     lr_fn maps the phase's iteration counter, which starts at 0 and runs on
     across epochs, to either a scalar rate or a per-group rate triple. It is
     called once per step, and its value at the first step of each epoch (the
-    final-group rate when it is a triple) is what lands in the history row.
-    The phase ends at max_epochs, at the stopper's say-so, or as soon as
-    validation accuracy meets target_accuracy.
+    final-group rate when it is a triple) is what lands in the history row,
+    whose epoch is its index in ``history``: a phase appending to a history
+    numbers its epochs on from the rows already there. The phase ends at
+    max_epochs, at the stopper's say-so, or as soon as validation accuracy
+    meets target_accuracy.
     """
     t = 0
     epochs_run = 0
@@ -166,7 +167,7 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
         final_acc = valid_acc
         if history is not None:
             history.append(EpochRecord(
-                epoch=epoch_offset + epoch, phase=phase_name,
+                epoch=len(history), phase=phase_name,
                 lr=float(epoch_lr), train_loss=loss_sum / n_seen,
                 valid_loss=valid_loss, valid_acc=valid_acc, seconds=seconds))
         if target_accuracy is not None and valid_acc >= target_accuracy:

@@ -16,7 +16,7 @@ from lrbench.bench import (BenchConfig, confusion, load_bench_dataset,
 from lrbench.cli import run as cli_run
 from lrbench.data import make_blobs
 from lrbench.finder import RangeTestConfig, range_test, suggest_lr
-from lrbench.groups import (default_partition, freeze_groups, head_model,
+from lrbench.groups import (default_partition, head_model,
                             partition_layers, precompute_features)
 from lrbench.nn import (Conv2d, Dense, Flatten, MaxPool2, Model, ReLU,
                         build_mlp, forward, train_step)
@@ -196,9 +196,9 @@ def test_criterion_6_freeze_and_cache():
     ds = make_blobs(seed=0)
     model = build_mlp((3, 8, 8), 3, seed=0)
     partition_layers(model, *default_partition(model))
-    freeze_groups(model, {"initial", "mid"})
-    frozen_before = [p.copy() for layer in model.param_layers()
-                     if layer.frozen for p in layer.params]
+    body = [layer for layer in model.param_layers() if layer.group != "final"]
+    assert {layer.group for layer in body} == {"initial", "mid"}
+    frozen_before = [p.copy() for layer in body for p in layer.params]
 
     cache = precompute_features(model, (ds.images, ds.labels))
     head = head_model(model)
@@ -211,8 +211,7 @@ def test_criterion_6_freeze_and_cache():
         train_step(head, cache.features[idx], cache.labels[idx],
                    lr_at(step, sched), momentum=0.9)
 
-    frozen_after = [p for layer in model.param_layers()
-                    if layer.frozen for p in layer.params]
+    frozen_after = [p for layer in body for p in layer.params]
     frozen_ok = all(np.array_equal(a, b)
                     for a, b in zip(frozen_before, frozen_after))
 

@@ -157,6 +157,14 @@ class TestConfusionCommand:
         assert run(["confusion", "--pred", str(pred)]) == 3
         assert ":3:" in capsys.readouterr().err
 
+    def test_negative_id_is_a_data_error_citing_its_line(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("true,pred\n0,1\n1,0\n-1,0\n")
+        assert run(["confusion", "--pred", str(pred), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{pred}:4: negative class id" in err
+        assert not (tmp_path / "confusion.csv").exists()
+
     def test_missing_file_exits_3(self, tmp_path):
         assert run(["confusion", "--pred", str(tmp_path / "none.csv")]) == 3
 

@@ -236,6 +236,39 @@ class TestLoadCifar10:
         ds = load_cifar10(tmp_path, 1)
         assert len(ds) == 10
 
+    def test_matches_per_record_reference(self, tmp_path):
+        # reference: walk the records one at a time, keep each while its
+        # class is short, stop after the file that fills every class
+        def per_record(files, n_per_class):
+            images, labels, counts = [], [], [0] * 10
+            for f in files:
+                raw = f.read_bytes()
+                for offset in range(0, len(raw), RECORD_BYTES):
+                    label = raw[offset]
+                    if counts[label] < n_per_class:
+                        counts[label] += 1
+                        pixels = np.frombuffer(raw, np.uint8, 3072, offset + 1)
+                        images.append(pixels.reshape(3, 32, 32)
+                                      .astype(np.float32) / np.float32(255))
+                        labels.append(label)
+                if min(counts) >= n_per_class:
+                    break
+            return np.stack(images), np.array(labels)
+
+        rng = np.random.default_rng(5)
+        for name, n in (("a.bin", 25), ("b.bin", 40)):
+            write_records(tmp_path / name, [
+                (int(label), rng.integers(0, 256, 3072, dtype=np.uint8))
+                for label in rng.integers(0, 10, size=n)])
+        # a and b fill every class at quota 2, so c (invalid) is never read
+        write_records(tmp_path / "c.bin", [(200, np.zeros(3072, np.uint8))])
+        files = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for quota in (1, 2):
+            ds = load_cifar10(tmp_path, quota)
+            images, labels = per_record(files, quota)
+            assert ds.images.tobytes() == images.tobytes()
+            assert np.array_equal(ds.labels, labels)
+
     def test_truncated_record_reports_offset(self, tmp_path):
         path = tmp_path / "bad.bin"
         good = bytes([0]) + bytes(3072)

@@ -8,7 +8,7 @@ from conftest import QUAD_CURVATURE, quadratic_model, quadratic_problem
 from lrbench.finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
                             ramp_lr, range_test, smooth_losses, suggest_lr,
                             write_trace_csv)
-from lrbench.nn import Dense, Model, train_step
+from lrbench.nn import Dense, Model, ReLU, train_step
 
 
 def make_trace(lrs, smoothed, reason="completed"):
@@ -77,11 +77,13 @@ class TestSmoothLosses:
 
 class TestRangeTest:
     def test_flat_trace_when_fully_frozen(self):
-        x, y = quadratic_problem()
-        model = quadratic_model()
-        model.layers[0].frozen = True
+        # a model without parameters has nothing to train, so every probe
+        # sees the same loss
+        x, _ = quadratic_problem()
+        model = Model([ReLU()], dtype=np.float64, loss="mse")
         cfg = RangeTestConfig(lr_lo=1e-4, lr_hi=1.0, n_steps=20)
-        trace = range_test(model, (x, y), cfg, rng_seed=0, batch_size=2)
+        trace = range_test(model, (x, np.zeros_like(x)), cfg, rng_seed=0,
+                           batch_size=2)
         assert trace.stop_reason == "completed"
         raws = [raw for _, raw, _ in trace.steps]
         assert raws == [raws[0]] * len(raws)

@@ -3,9 +3,9 @@ import pytest
 
 from lrbench.data import make_blobs
 from lrbench.groups import (FeatureCache, InvalidPartitionError,
-                            LayerGroupRates, default_partition, freeze_groups,
-                            group_lr_at, head_model, partition_layers,
-                            precompute_features, split_index)
+                            LayerGroupRates, default_partition, group_lr_at,
+                            head_model, partition_layers, precompute_features,
+                            split_index)
 from lrbench.nn import Dense, Model, build_cnn, build_mlp, forward, train_step
 from lrbench.schedule import CosineCycleConfig, lr_at
 
@@ -82,30 +82,6 @@ class TestPartitionLayers:
         assert groups.count("final") == 1
 
 
-class TestFreezeGroups:
-    def test_freezes_exactly_named_groups(self):
-        model = partitioned_mlp()
-        freeze_groups(model, {"initial", "mid"})
-        frozen = {l.group: l.frozen for l in model.param_layers()}
-        assert frozen == {"initial": True, "mid": True, "final": False}
-
-    def test_empty_set_unfreezes_all(self):
-        model = partitioned_mlp()
-        freeze_groups(model, {"initial", "mid"})
-        freeze_groups(model, set())
-        assert not any(l.frozen for l in model.param_layers())
-
-    def test_unknown_tag_rejected(self):
-        model = partitioned_mlp()
-        with pytest.raises(ValueError, match="unknown group"):
-            freeze_groups(model, {"backbone"})
-
-    def test_requires_partition(self):
-        model = build_mlp((3, 8, 8), 3)
-        with pytest.raises(InvalidPartitionError, match="partition"):
-            freeze_groups(model, {"initial"})
-
-
 class TestHeadSplit:
     def test_split_index_points_at_head(self):
         model = partitioned_mlp()
@@ -134,7 +110,6 @@ class TestHeadSplit:
 class TestPrecomputeFeatures:
     def test_matches_manual_body_forward(self):
         model = partitioned_mlp()
-        freeze_groups(model, {"initial", "mid"})
         ds = make_blobs(n_per_class=10, seed=0)
         cache = precompute_features(model, (ds.images, ds.labels),
                                     batch_size=7)
@@ -147,7 +122,6 @@ class TestPrecomputeFeatures:
 
     def test_cached_head_logits_match_full_forward_f32(self):
         model = partitioned_mlp()
-        freeze_groups(model, {"initial", "mid"})
         ds = make_blobs(n_per_class=10, seed=1)
         cache = precompute_features(model, (ds.images, ds.labels))
         head = head_model(model)
@@ -158,7 +132,6 @@ class TestPrecomputeFeatures:
     def test_cached_cnn_head_logits_match_full_forward_f32(self):
         model = build_cnn((3, 8, 8), 3, seed=0)
         partition_layers(model, *default_partition(model))
-        freeze_groups(model, {"initial", "mid"})
         # 300 rows: two cache batches, each many conv im2col blocks
         ds = make_blobs(n_per_class=100, seed=1)
         cache = precompute_features(model, (ds.images, ds.labels))
@@ -167,15 +140,8 @@ class TestPrecomputeFeatures:
         cached, _ = forward(head, cache.features)
         np.testing.assert_array_equal(full, cached)
 
-    def test_requires_frozen_body(self):
-        model = partitioned_mlp()
-        ds = make_blobs(n_per_class=5)
-        with pytest.raises(ValueError, match="frozen"):
-            precompute_features(model, (ds.images, ds.labels))
-
     def test_accepts_plain_arrays(self):
         model = partitioned_mlp()
-        freeze_groups(model, {"initial", "mid"})
         ds = make_blobs(n_per_class=5)
         cache = precompute_features(model, (ds.images, ds.labels))
         # one 256-row batch, as the cache pass takes it
@@ -191,7 +157,6 @@ class TestPrecomputeFeatures:
         # not bit-exact across batch sizes: BLAS picks different reduction
         # orders for different shapes, so allow f32 rounding noise
         model = partitioned_mlp()
-        freeze_groups(model, {"initial", "mid"})
         ds = make_blobs(n_per_class=11)
         a = precompute_features(model, (ds.images, ds.labels), batch_size=4)
         b = precompute_features(model, (ds.images, ds.labels), batch_size=256)

@@ -216,11 +216,13 @@ class TestBackward:
         assert max_grad_rel_error(model, x, y) < 1e-4
 
     def test_lowest_trainable_layer_skips_its_input_gradient(self):
+        # every parameterized layer trains, so the lowest trainable layer is
+        # the lowest parameterized one, here above a Flatten
         rng = f64_rng(10)
-        lowest = Dense(3, 2, dtype=np.float64, rng=rng)
-        model = Model([Dense(4, 3, dtype=np.float64, rng=rng), ReLU(), lowest],
+        lowest = Dense(4, 3, dtype=np.float64, rng=rng)
+        model = Model([Flatten(), lowest, ReLU(),
+                       Dense(3, 2, dtype=np.float64, rng=rng)],
                       dtype=np.float64)
-        model.layers[0].frozen = True
         flags = []
         original = lowest.backward
 
@@ -228,7 +230,7 @@ class TestBackward:
             flags.append(kwargs)
             return original(grad_out, cache, **kwargs)
         lowest.backward = backward_spy
-        logits, caches = forward(model, rng.random((5, 4)))
+        logits, caches = forward(model, rng.random((5, 2, 2)))
         backward(model, logits, np.array([0, 1, 1, 0, 1]), caches)
         assert flags == [{"need_input_grad": False}]
 
@@ -241,25 +243,24 @@ class TestBackward:
             g = rng.standard_normal(out_shape)
             assert layer.backward(g, cache).shape == x.shape
             full = [grad.copy() for grad in layer.grads]
-            layer.zero_grads()
+            for grad in layer.grads:
+                grad.fill(np.nan)
             assert layer.backward(g, cache, need_input_grad=False) is None
             for a, b in zip(layer.grads, full):
                 assert np.array_equal(a, b)
 
     def test_backprop_stops_at_the_lowest_trainable_layer(self):
         rng = f64_rng(11)
-        x = rng.random((4, 5))
+        x = rng.random((4, 5, 1))
         labels = np.array([0, 1, 1, 0])
 
-        def model_with(frozen_first):
+        def build():
             r = f64_rng(12)
-            first = Dense(5, 6, dtype=np.float64, rng=r)
-            first.frozen = frozen_first
-            return Model([first, ReLU(), Dense(6, 4, dtype=np.float64, rng=r),
-                          ReLU(), Dense(4, 2, dtype=np.float64, rng=r)],
+            return Model([Flatten(), Dense(5, 6, dtype=np.float64, rng=r),
+                          ReLU(), Dense(6, 2, dtype=np.float64, rng=r)],
                          dtype=np.float64)
 
-        model = model_with(frozen_first=True)
+        model = build()
         calls = []
 
         def spy(index):
@@ -269,49 +270,42 @@ class TestBackward:
             def backward_spy(grad_out, cache, **kwargs):
                 calls.append(index)
                 result = original(grad_out, cache, **kwargs)
-                # whatever the lowest trainable layer returns goes unused
-                return None if index == 2 else result
+                # whatever the lowest parameterized layer returns goes unused
+                return None if index == 1 else result
             layer.backward = backward_spy
 
         for index in range(len(model.layers)):
             spy(index)
+        for layer in model.param_layers():
+            for g in layer.grads:
+                g.fill(np.nan)
         logits, caches = forward(model, x)
         loss = backward(model, logits, labels, caches)
-        assert calls == [4, 3, 2]
-        assert all(np.all(g == 0.0) for g in model.layers[0].grads)
+        # the Flatten below the first Dense is never called, and every
+        # gradient is written
+        assert calls == [3, 2, 1]
+        assert all(np.isfinite(g).all() for layer in model.param_layers()
+                   for g in layer.grads)
 
-        full = model_with(frozen_first=False)
-        logits, caches = forward(full, x)
-        assert backward(full, logits, labels, caches) == loss
-        for i in (2, 4):
-            for a, b in zip(model.layers[i].grads, full.layers[i].grads):
+        plain = build()
+        logits, caches = forward(plain, x)
+        assert backward(plain, logits, labels, caches) == loss
+        for i in (1, 3):
+            for a, b in zip(model.layers[i].grads, plain.layers[i].grads):
                 assert np.array_equal(a, b)
 
-    def test_frozen_layers_get_zero_grads(self):
+    def test_model_without_parameters_backprops_nothing(self):
         rng = f64_rng(1)
-        l1 = Dense(4, 4, dtype=np.float64, rng=rng)
-        l2 = Dense(4, 2, dtype=np.float64, rng=rng)
-        l1.frozen = True
-        model = Model([l1, ReLU(), l2], dtype=np.float64)
-        x = rng.random((3, 4))
-        logits, caches = forward(model, x)
-        backward(model, logits, np.array([0, 1, 0]), caches)
-        assert all(np.all(g == 0.0) for g in l1.grads)
-        assert any(np.any(g != 0.0) for g in l2.grads)
-
-    def test_all_frozen_means_all_zero_grads(self):
-        rng = f64_rng(1)
-        layers = [Dense(4, 4, dtype=np.float64, rng=rng),
-                  Dense(4, 2, dtype=np.float64, rng=rng)]
-        for l in layers:
-            l.frozen = True
+        layers = [Flatten(), ReLU()]
+        calls = []
+        for layer in layers:
+            layer.backward = lambda *args, **kwargs: calls.append(args)
         model = Model(layers, dtype=np.float64)
-        x = rng.random((3, 4))
-        logits, caches = forward(model, x)
-        loss = backward(model, logits, np.array([0, 1, 1]), caches)
+        logits, caches = forward(model, rng.random((3, 2, 2)))
+        loss = backward(model, logits, np.array([0, 1, 3]), caches,
+                        weight_decay=0.5)
         assert math.isfinite(loss)
-        for l in layers:
-            assert all(np.all(g == 0.0) for g in l.grads)
+        assert calls == []
 
     def test_grads_shape_congruent_with_params(self):
         model = build_cnn((3, 8, 8), 4, dtype=np.float64, seed=0)
@@ -334,13 +328,14 @@ class TestSgdStep:
         assert np.array_equal(layer.W, before - g)
 
     def test_frozen_layer_untouched(self):
-        layer = Dense(2, 2, dtype=np.float64)
-        layer.frozen = True
-        model = Model([layer], dtype=np.float64)
-        before = layer.W.copy()
-        layer.grads[0][...] = 1.0
-        sgd_step(model, lr=1.0, momentum=0.9)
-        assert np.array_equal(layer.W, before)
+        # a layer stays fixed by being left out of the model that steps
+        layer, head = Dense(2, 2, dtype=np.float64), Dense(2, 2, dtype=np.float64)
+        before = [p.copy() for p in layer.params + head.params]
+        for g in layer.grads + head.grads:
+            g[...] = 1.0
+        sgd_step(Model([head], dtype=np.float64), lr=1.0, momentum=0.9)
+        assert all(np.array_equal(p, b) for p, b in zip(layer.params, before))
+        assert not np.array_equal(head.W, before[2])
 
     def test_two_momentum_steps_hand_unrolled(self):
         layer = Dense(3, 2, dtype=np.float64)
@@ -437,17 +432,24 @@ class TestDeterminismAndState:
             b.load_state(a.clone_state())
 
     def test_frozen_params_survive_long_training(self):
+        # the layers above the first Dense train as a view sharing its
+        # parameters; the first Dense, outside that view, stays fixed
         model = build_mlp((2, 4, 4), 3, dtype=np.float32, seed=1)
-        frozen_layer = model.param_layers()[0]
-        frozen_layer.frozen = True
+        frozen_layer, trained = model.param_layers()[:2]
+        split = model.layers.index(trained)
         before = [p.copy() for p in frozen_layer.params]
+        trained_before = trained.W.copy()
+        upper = Model(model.layers[split:], dtype=np.float32)
         rng = np.random.default_rng(5)
         x = rng.random((32, 2, 4, 4)).astype(np.float32)
         y = rng.integers(0, 3, size=32)
+        features, _ = forward(Model(model.layers[:split]), x)
         for _ in range(100):
-            train_step(model, x, y, 0.05, momentum=0.9, weight_decay=1e-4)
+            train_step(upper, features, y, 0.05, momentum=0.9,
+                       weight_decay=1e-4)
         for p, b in zip(frozen_layer.params, before):
             assert np.array_equal(p, b)
+        assert not np.array_equal(trained.W, trained_before)
 
 
 class TestBuilders:

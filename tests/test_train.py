@@ -185,15 +185,19 @@ class TestTrainPhase:
         assert seen == list(range(3 * 4))
 
     def test_history_rows(self):
+        # rows are numbered by their index in the history, so a second
+        # phase appending to it numbers on from the first
         model, ds = blob_setup()
         cfg = TrainConfig(batch_size=16, seed=0)
         history = []
-        train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                    phase_name="warm", phase_index=2, lr_fn=lambda t: 0.03,
-                    cfg=cfg, max_epochs=2, history=history, epoch_offset=7)
-        assert [r.epoch for r in history] == [7, 8]
-        assert all(r.phase == "warm" for r in history)
-        assert all(r.lr == 0.03 for r in history)
+        for name, lr, epochs in (("warm", 0.03, 2), ("cool", 0.01, 3)):
+            train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
+                        phase_name=name, phase_index=2,
+                        lr_fn=lambda t, lr=lr: lr, cfg=cfg, max_epochs=epochs,
+                        history=history)
+        assert [r.epoch for r in history] == [0, 1, 2, 3, 4]
+        assert [r.phase for r in history] == ["warm"] * 2 + ["cool"] * 3
+        assert [r.lr for r in history] == [0.03] * 2 + [0.01] * 3
         assert all(r.seconds > 0 for r in history)
 
     def test_history_lr_uses_final_group_rate(self):
