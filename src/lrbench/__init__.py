@@ -13,8 +13,7 @@ from .data import Dataset, augment, load_cifar10, make_blobs, normalize, split
 from .errors import ConfigError, DataError, LRBenchError
 from .finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
                      range_test, suggest_lr)
-from .groups import (FeatureCache, LayerGroupRates, group_lr_at,
-                     partition_layers, precompute_features)
+from .groups import LayerGroupRates, group_lr_at, precompute_features
 from .nn import Model, backward, build_cnn, build_mlp, forward, sgd_step
 from .schedule import CosineCycleConfig, cosine_lr, dump_schedule, lr_at
 from .train import EarlyStopState, TrainConfig, early_stop_update, evaluate
@@ -28,8 +27,7 @@ __all__ = [
     "ConfigError", "DataError", "LRBenchError",
     "LRFinderTrace", "NoDescentFound", "RangeTestConfig", "range_test",
     "suggest_lr",
-    "FeatureCache", "LayerGroupRates", "group_lr_at", "partition_layers",
-    "precompute_features",
+    "LayerGroupRates", "group_lr_at", "precompute_features",
     "Model", "backward", "build_cnn", "build_mlp", "forward", "sgd_step",
     "CosineCycleConfig", "cosine_lr", "dump_schedule", "lr_at",
     "EarlyStopState", "TrainConfig", "early_stop_update", "evaluate",

@@ -25,8 +25,8 @@ from .data import (CIFAR10_MEAN, CIFAR10_STD, Dataset, load_cifar10,
                    make_blobs, normalize, split)
 from .errors import ConfigError
 from .finder import LRFinderTrace, RangeTestConfig, range_test, suggest_lr
-from .groups import (LayerGroupRates, default_partition, group_lr_at,
-                     head_model, partition_layers, precompute_features)
+from .groups import (LayerGroupRates, group_lr_at, head_model,
+                     precompute_features)
 from .nn import Model, build_cnn, build_mlp, forward
 from .schedule import CosineCycleConfig, lr_at
 from .train import (EarlyStopState, EpochRecord, TrainConfig,
@@ -218,8 +218,6 @@ def run_optimized(cfg: BenchConfig,
     """
     train_ds, valid_ds = data if data is not None else load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
-    b1, b2 = default_partition(model)
-    partition_layers(model, b1, b2)
     history: list[EpochRecord] = []
     phases: list[PhaseResult] = []
 
@@ -229,16 +227,15 @@ def run_optimized(cfg: BenchConfig,
     phases.append(PhaseResult("range_test", 0, acc0, time.perf_counter() - start))
 
     start = time.perf_counter()
-    train_cache = precompute_features(model, (train_ds.images, train_ds.labels))
-    valid_cache = precompute_features(model, (valid_ds.images, valid_ds.labels))
+    train_feats = precompute_features(model, train_ds.images)
+    valid_feats = precompute_features(model, valid_ds.images)
     head = head_model(model)
     sched2 = CosineCycleConfig(
         eta_max=eta_max, t0=batches_per_epoch(len(train_ds), cfg.train.batch_size),
         eta_min=cfg.sched.eta_min, mult=1)
     model.zero_velocity()
     acc2, ep2, _ = train_phase(
-        head, train_cache.features, train_cache.labels,
-        valid_cache.features, valid_cache.labels,
+        head, train_feats, train_ds.labels, valid_feats, valid_ds.labels,
         phase_name="head_sgdr", phase_index=2,
         lr_fn=lambda t: lr_at(t, sched2),
         cfg=replace(cfg.train, augment=False), max_epochs=cfg.head_epochs,

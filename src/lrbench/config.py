@@ -7,11 +7,12 @@ loudly instead of silently training with defaults.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .bench import BenchConfig
 from .errors import ConfigError
 from .finder import RangeTestConfig
 from .groups import LayerGroupRates
-from .schedule import CosineCycleConfig
 from .train import TrainConfig
 
 __all__ = ["CONFIG_KEYS", "parse_config_file", "build_bench_config"]
@@ -118,11 +119,9 @@ def build_bench_config(raw: dict | None = None, overrides: dict | None = None
 
     parts["train"].setdefault(
         "augment", parts["bench"].get("dataset", "blobs").startswith("cifar10"))
-    parts["sched"].setdefault("eta_max", 0.01)
-    parts["sched"].setdefault("t0", 100)
     try:
         return BenchConfig(train=TrainConfig(**parts["train"]),
-                           sched=CosineCycleConfig(**parts["sched"]),
+                           sched=replace(BenchConfig().sched, **parts["sched"]),
                            rates=LayerGroupRates(**parts["rates"]),
                            finder=RangeTestConfig(**parts["finder"]),
                            **parts["bench"])

@@ -147,7 +147,8 @@ def split(dataset: Dataset, num: int, den: int, seed: int = 0) -> tuple[Dataset,
 
     Per class, round(n * num / (num + den)) samples go to train; the rest to
     valid. Deterministic for a given seed; the two parts are disjoint and
-    their union is the original multiset.
+    their union is the original multiset. Raises DataError if the rounding
+    leaves either part with no rows.
     """
     if num < 1 or den < 1:
         raise DataError(f"split ratio parts must be >= 1, got {num}:{den}")
@@ -167,6 +168,13 @@ def split(dataset: Dataset, num: int, den: int, seed: int = 0) -> tuple[Dataset,
         valid_idx.append(idx[n_train:])
     tr = np.concatenate(train_idx)
     va = np.concatenate(valid_idx)
+    for part, rows in (("train", tr), ("valid", va)):
+        if not len(rows):
+            ids, counts = np.unique(dataset.labels, return_counts=True)
+            raise DataError(
+                f"split {num}:{den} leaves the {part} part empty after "
+                f"per-class rounding; samples per class: "
+                f"{dict(zip(ids.tolist(), counts.tolist()))}")
     return (
         Dataset(dataset.images[tr], dataset.labels[tr], list(dataset.class_names)),
         Dataset(dataset.images[va], dataset.labels[va], list(dataset.class_names)),

@@ -7,14 +7,14 @@ the smoothed curve against log(lr).
 
 range_test mutates the model it is given and restores it afterwards, so it is
 not safe to call concurrently on one model instance. The pure helpers
-(ramp_lr, smooth_losses, suggest_lr) are thread-safe.
+(ramp_lr, suggest_lr) are thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "LRFinderTrace",
     "NoDescentFound",
     "ramp_lr",
-    "smooth_losses",
     "range_test",
     "suggest_lr",
     "write_trace_csv",
@@ -91,18 +90,6 @@ def _ema_update(m: float, raw: float, beta: float, i: int) -> tuple[float, float
     new running mean and its bias-corrected value."""
     m = beta * m + (1.0 - beta) * raw
     return m, m / (1.0 - beta ** (i + 1))
-
-
-def smooth_losses(raw: Sequence[float], beta: float) -> list[float]:
-    """Bias-corrected exponential moving average; beta=0 returns the input."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0, 1), got {beta}")
-    out = []
-    m = 0.0
-    for i, r in enumerate(raw):
-        m, smoothed = _ema_update(m, float(r), beta, i)
-        out.append(smoothed)
-    return out
 
 
 def range_test(model: Model, data, cfg: RangeTestConfig, rng_seed: int,

@@ -37,8 +37,6 @@ __all__ = [
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
 
-GROUP_ORDER = ("initial", "mid", "final")
-
 
 class ShapeError(ValueError):
     """Input or parameter shapes do not line up."""
@@ -57,7 +55,6 @@ class Layer:
     parameter, gradient, and velocity arrays, and their backward takes
     ``need_input_grad``: False skips the input gradient and returns None."""
 
-    group: str | None = None
     name: str = ""
     params = grads = vel = ()
 
@@ -233,6 +230,10 @@ class Model:
 
     ``loss`` is "softmax_ce" for classification (integer labels) or "mse" for
     regression-style fixtures (float targets of the logits' shape).
+
+    The parameterized layers fall into three contiguous groups, lowest
+    first (see param_groups): the classifier head alone is ``final`` and the
+    layers below it split in half between ``initial`` and ``mid``.
     """
 
     def __init__(self, layers: Sequence[Layer], dtype=np.float32,
@@ -248,6 +249,18 @@ class Model:
 
     def param_layers(self) -> list[Layer]:
         return [l for l in self.layers if l.params]
+
+    def param_groups(self) -> tuple[list[Layer], list[Layer], list[Layer]]:
+        """The (initial, mid, final) parameterized layers: the last one alone
+        is final, and initial takes the smaller half of the layers below it.
+        Raises ShapeError for fewer than 3 parameterized layers."""
+        layers = self.param_layers()
+        n = len(layers)
+        if n < 3:
+            raise ShapeError(
+                f"layer groups need at least 3 parameterized layers, model has {n}")
+        b1 = (n - 1) // 2
+        return layers[:b1], layers[b1:n - 1], layers[n - 1:]
 
     def clone_state(self):
         """Bit-exact snapshot of parameters and velocities."""
@@ -354,37 +367,33 @@ def backward(model: Model, logits: np.ndarray, labels: np.ndarray, caches,
     return loss
 
 
-def _group_lr(lr, layer: Layer) -> float:
-    if isinstance(lr, (int, float, np.floating)):
-        return float(lr)
-    if not (isinstance(lr, tuple) and len(lr) == 3):
-        raise ValueError(
-            f"lr must be a scalar or an (initial, mid, final) tuple, got {lr!r}"
-        )
-    if layer.group is None:
-        raise ValueError(
-            f"layer {layer.name} has no group tag; partition the model before "
-            "using per-group rates"
-        )
-    return float(lr[GROUP_ORDER.index(layer.group)])
-
-
 def sgd_step(model: Model, lr, momentum: float = 0.0,
              weight_decay: float = 0.0) -> None:
     """One SGD-with-momentum update of every parameterized layer:
     v <- momentum*v + (g + weight_decay*p), p <- p - lr*v.
 
-    ``lr`` is a scalar or an (initial, mid, final) tuple of per-group rates;
-    anything else raises ValueError. Weight decay is coupled (added to the
-    gradient); pass it either here or to backward, not both.
+    ``lr`` is a scalar for every layer or an (initial, mid, final) tuple
+    applied over model.param_groups(); anything else raises ValueError.
+    Weight decay is coupled (added to the gradient); pass it either here or
+    to backward, not both.
     """
-    for layer in model.param_layers():
-        step_lr = _group_lr(lr, layer)
-        for p, g, v in zip(layer.params, layer.grads, layer.vel):
-            eff = g + weight_decay * p if weight_decay else g
-            v *= momentum
-            v += eff
-            p -= step_lr * v
+    if isinstance(lr, (int, float, np.floating)):
+        steps = [(float(lr), model.param_layers())]
+    elif isinstance(lr, tuple) and len(lr) == 3:
+        steps = zip([float(r) for r in lr], model.param_groups())
+    else:
+        raise ValueError(
+            f"lr must be a scalar or an (initial, mid, final) tuple, got {lr!r}"
+        )
+    # rates stay Python floats: an np.float64 rate would promote the float32
+    # update to float64 before it is cast back
+    for step_lr, layers in steps:
+        for layer in layers:
+            for p, g, v in zip(layer.params, layer.grads, layer.vel):
+                eff = g + weight_decay * p if weight_decay else g
+                v *= momentum
+                v += eff
+                p -= step_lr * v
 
 
 def train_step(model: Model, xb: np.ndarray, yb: np.ndarray, lr,

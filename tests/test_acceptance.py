@@ -16,8 +16,7 @@ from lrbench.bench import (BenchConfig, confusion, load_bench_dataset,
 from lrbench.cli import run as cli_run
 from lrbench.data import make_blobs
 from lrbench.finder import RangeTestConfig, range_test, suggest_lr
-from lrbench.groups import (default_partition, head_model,
-                            partition_layers, precompute_features)
+from lrbench.groups import head_model, precompute_features
 from lrbench.nn import (Conv2d, Dense, Flatten, MaxPool2, Model, ReLU,
                         build_mlp, forward, train_step)
 from lrbench.schedule import CosineCycleConfig, cosine_lr, dump_schedule, lr_at
@@ -195,20 +194,20 @@ def test_criterion_5_gradient_checks():
 def test_criterion_6_freeze_and_cache():
     ds = make_blobs(seed=0)
     model = build_mlp((3, 8, 8), 3, seed=0)
-    partition_layers(model, *default_partition(model))
-    body = [layer for layer in model.param_layers() if layer.group != "final"]
-    assert {layer.group for layer in body} == {"initial", "mid"}
+    initial, mid, _ = model.param_groups()
+    body = initial + mid
+    assert body == model.param_layers()[:-1]
     frozen_before = [p.copy() for layer in body for p in layer.params]
 
-    cache = precompute_features(model, (ds.images, ds.labels))
+    features = precompute_features(model, ds.images)
     head = head_model(model)
     sched = CosineCycleConfig(eta_max=0.1, t0=50, mult=1)
-    order = np.random.default_rng(0).permutation(len(cache))
+    order = np.random.default_rng(0).permutation(len(features))
     batch = 16
     for step in range(200):
-        lo = (step * batch) % len(cache)
+        lo = (step * batch) % len(features)
         idx = order[lo:lo + batch]
-        train_step(head, cache.features[idx], cache.labels[idx],
+        train_step(head, features[idx], ds.labels[idx],
                    lr_at(step, sched), momentum=0.9)
 
     frozen_after = [p for layer in body for p in layer.params]
@@ -218,7 +217,7 @@ def test_criterion_6_freeze_and_cache():
     diffs = []
     for start in range(0, len(ds), 256):
         full, _ = forward(model, ds.images[start:start + 256])
-        cached, _ = forward(head, cache.features[start:start + 256])
+        cached, _ = forward(head, features[start:start + 256])
         diffs.append(np.abs(full - cached).max())
     max_diff = float(max(diffs))
     ok = frozen_ok and max_diff < 1e-6

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from lrbench.bench import build_model, load_bench_dataset
+from lrbench.bench import BenchConfig, build_model, load_bench_dataset
 from lrbench.cli import main, run
 from lrbench.config import CONFIG_KEYS, build_bench_config, parse_config_file
 from lrbench.errors import ConfigError
@@ -68,11 +68,7 @@ class TestParseConfigFile:
 
 class TestBuildBenchConfig:
     def test_empty_gives_defaults(self):
-        cfg = build_bench_config()
-        assert cfg.dataset == "blobs"
-        assert cfg.train.seed == 0
-        assert cfg.sched.eta_max == 0.01
-        assert cfg.sched.t0 == 100
+        assert build_bench_config() == BenchConfig()
 
     def test_raw_values_cast_per_schema(self):
         cfg = build_bench_config({"seed": "7", "momentum": "0.8",

@@ -166,6 +166,13 @@ class TestSplit:
         with pytest.raises(DataError, match="cannot be split"):
             split(ds, 5, 1)
 
+    def test_rounding_that_empties_a_part_is_named(self):
+        # round(1 * 1/2) rounds half to even: 0 train rows in either class
+        ds = make_blobs(n_per_class=1, n_classes=2)
+        with pytest.raises(DataError, match=r"split 1:1 leaves the train part "
+                           r"empty .*samples per class: \{0: 1, 1: 1\}"):
+            split(ds, 1, 1)
+
 
 class TestMakeBlobs:
     def test_shapes_and_types(self):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import QUAD_CURVATURE, quadratic_model, quadratic_problem
 from lrbench.finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
-                            ramp_lr, range_test, smooth_losses, suggest_lr,
+                            _ema_update, ramp_lr, range_test, suggest_lr,
                             write_trace_csv)
 from lrbench.nn import Dense, Model, ReLU, train_step
 
@@ -47,32 +47,58 @@ class TestRampLr:
             RangeTestConfig(divergence_factor=1.0)
 
 
+def probe_trace(x, y, beta, model=None):
+    """A completed 50-step range test of ``model`` (by default a 3-class
+    Dense layer) on (x, y)."""
+    model = model or Model([Dense(4, 3, dtype=np.float64,
+                                  rng=np.random.default_rng(2))],
+                           dtype=np.float64)
+    cfg = RangeTestConfig(lr_lo=1e-4, lr_hi=0.5, n_steps=50,
+                          smoothing_beta=beta)
+    trace = range_test(model, (x, y), cfg, rng_seed=0, batch_size=8)
+    assert trace.stop_reason == "completed"
+    return trace
+
+
+def random_probe_trace(rng, beta):
+    return probe_trace(rng.random((64, 4)), rng.integers(0, 3, size=64), beta)
+
+
 class TestSmoothLosses:
-    def test_beta_zero_is_identity(self):
-        assert smooth_losses([2.0, 4.0], 0.0) == [2.0, 4.0]
+    """The smoothed column of a range-test trace is the bias-corrected EMA
+    of its raw column."""
+
+    def test_beta_zero_is_identity(self, rng):
+        trace = random_probe_trace(rng, 0.0)
+        assert [s for _, _, s in trace.steps] == [r for _, r, _ in trace.steps]
 
     def test_constant_fixpoint(self):
+        # a parameter-free model on identical rows sees the same loss at
+        # every probe
+        x, y = np.ones((64, 4)), np.zeros(64, dtype=np.int64)
         for beta in (0.0, 0.5, 0.9, 0.98):
-            out = smooth_losses([3.0] * 10, beta)
-            assert out == pytest.approx([3.0] * 10, rel=1e-12)
+            trace = probe_trace(x, y, beta, Model([ReLU()], dtype=np.float64))
+            raws = [r for _, r, _ in trace.steps]
+            assert raws == [raws[0]] * len(raws)
+            assert [s for _, _, s in trace.steps] == pytest.approx(raws, rel=1e-12)
 
     def test_hand_evaluated_pair(self):
         # m0 = 0.5*0, s0 = 0/(1-0.5) = 0; m1 = 0.5*0 + 0.5*1 = 0.5,
         # s1 = 0.5/(1-0.25) = 2/3
-        assert smooth_losses([0.0, 1.0], 0.5) == pytest.approx([0.0, 2 / 3])
-
-    def test_empty_input(self):
-        assert smooth_losses([], 0.9) == []
+        m, s0 = _ema_update(0.0, 0.0, 0.5, 0)
+        assert (m, s0) == (0.0, 0.0)
+        assert _ema_update(m, 1.0, 0.5, 1) == pytest.approx((0.5, 2 / 3))
 
     def test_matches_naive_recurrence(self, rng):
-        raw = rng.random(50).tolist()
         beta = 0.98
+        trace = random_probe_trace(rng, beta)
         m = 0.0
         expected = []
-        for i, r in enumerate(raw):
+        for i, (_, r, _) in enumerate(trace.steps):
             m = beta * m + (1 - beta) * r
             expected.append(m / (1 - beta ** (i + 1)))
-        assert smooth_losses(raw, beta) == pytest.approx(expected, rel=1e-15)
+        assert len(expected) == 50
+        assert [s for _, _, s in trace.steps] == pytest.approx(expected, rel=1e-15)
 
 
 class TestRangeTest:

@@ -2,19 +2,15 @@ import numpy as np
 import pytest
 
 from lrbench.data import make_blobs
-from lrbench.groups import (FeatureCache, InvalidPartitionError,
-                            LayerGroupRates, default_partition, group_lr_at,
-                            head_model, partition_layers, precompute_features,
-                            split_index)
-from lrbench.nn import Dense, Model, build_cnn, build_mlp, forward, train_step
+from lrbench.groups import (LayerGroupRates, group_lr_at, head_model,
+                            precompute_features)
+from lrbench.nn import (Dense, Model, ReLU, ShapeError, build_cnn, build_mlp,
+                        forward, train_step)
 from lrbench.schedule import CosineCycleConfig, lr_at
 
 
-def partitioned_mlp(seed=0, dtype=np.float32):
-    model = build_mlp((3, 8, 8), 3, dtype=dtype, seed=seed)
-    b1, b2 = default_partition(model)
-    partition_layers(model, b1, b2)
-    return model
+def group_sizes(model):
+    return tuple(len(group) for group in model.param_groups())
 
 
 class TestLayerGroupRates:
@@ -40,61 +36,48 @@ class TestLayerGroupRates:
 class TestGroupPartition:
     def test_group_of_boundaries(self):
         model = Model([Dense(4, 4) for _ in range(8)])
-        partition_layers(model, 2, 5)
-        assert [l.group for l in model.param_layers()] == [
-            "initial", "initial", "mid", "mid", "mid",
-            "final", "final", "final"]
+        layers = model.param_layers()
+        initial, mid, final = model.param_groups()
+        assert (initial, mid, final) == (layers[:3], layers[3:7], layers[7:])
 
     def test_every_group_nonempty(self):
-        model = Model([Dense(4, 4) for _ in range(4)])
-        for b1, b2 in ((0, 2), (2, 2), (1, 4)):
-            with pytest.raises(InvalidPartitionError, match="non-empty"):
-                partition_layers(model, b1, b2)
+        # the head alone is final; initial takes the smaller half below it
+        for n in range(3, 12):
+            sizes = group_sizes(Model([Dense(4, 4) for _ in range(n)]))
+            assert sizes == ((n - 1) // 2, n - 1 - (n - 1) // 2, 1)
+            assert 0 < sizes[0] <= sizes[1]
 
 
 class TestPartitionLayers:
-    def test_tags_match_partition(self):
-        model = build_mlp((3, 8, 8), 3)
-        partition_layers(model, 1, 2)
-        layers = model.param_layers()
-        assert [l.group for l in layers] == ["initial", "mid", "final"]
-
     def test_too_few_param_layers(self):
-        model = Model([Dense(4, 4), Dense(4, 2)])
-        with pytest.raises(InvalidPartitionError, match="at least 3"):
-            partition_layers(model, 1, 2)
+        model = Model([Dense(4, 4), ReLU(), Dense(4, 2)])
+        with pytest.raises(ShapeError, match="at least 3"):
+            model.param_groups()
 
     def test_default_partition_mlp_head_alone(self):
         model = build_mlp((3, 8, 8), 3)
-        b1, b2 = default_partition(model)
-        assert (b1, b2) == (1, 2)
-        partition_layers(model, b1, b2)
-        assert model.param_layers()[-1].group == "final"
+        assert group_sizes(model) == (1, 1, 1)
+        assert model.param_groups()[2] == [model.layers[-1]]
 
     def test_default_partition_cnn_head_alone(self):
         model = build_cnn((3, 8, 8), 3)
-        b1, b2 = default_partition(model)
-        n = len(model.param_layers())
-        assert b2 == n - 1
-        partition_layers(model, b1, b2)
-        groups = [l.group for l in model.param_layers()]
-        assert groups[-1] == "final"
-        assert groups.count("final") == 1
+        assert group_sizes(model) == (1, 2, 1)
+        assert model.param_groups()[2] == [model.layers[-1]]
 
 
 class TestHeadSplit:
-    def test_split_index_points_at_head(self):
-        model = partitioned_mlp()
-        idx = split_index(model)
-        assert model.layers[idx] is model.param_layers()[-1]
+    def test_head_view_starts_at_final_group(self):
+        # the ReLU under the head belongs to the body
+        model = build_cnn((3, 8, 8), 3)
+        assert head_model(model).layers == [model.layers[-1]]
 
-    def test_split_index_needs_final_tag(self):
-        model = build_mlp((3, 8, 8), 3)
-        with pytest.raises(InvalidPartitionError, match="final"):
-            split_index(model)
+    def test_head_model_needs_three_groups(self):
+        model = Model([Dense(4, 4), ReLU(), Dense(4, 2)])
+        with pytest.raises(ShapeError, match="at least 3"):
+            head_model(model)
 
     def test_head_model_shares_parameters(self):
-        model = partitioned_mlp()
+        model = build_mlp((3, 8, 8), 3)
         head = head_model(model)
         assert head.layers[0] is model.param_layers()[-1]
         assert head.loss == model.loss
@@ -109,66 +92,62 @@ class TestHeadSplit:
 
 class TestPrecomputeFeatures:
     def test_matches_manual_body_forward(self):
-        model = partitioned_mlp()
+        model = build_mlp((3, 8, 8), 3)
         ds = make_blobs(n_per_class=10, seed=0)
-        cache = precompute_features(model, (ds.images, ds.labels),
-                                    batch_size=7)
+        features = precompute_features(model, ds.images, batch_size=7)
         out = np.asarray(ds.images, dtype=model.dtype)
-        for layer in model.layers[:split_index(model)]:
+        for layer in model.layers[:-1]:
             out, _ = layer.forward(out)
         np.testing.assert_array_equal(
-            cache.features, out.reshape(len(ds), -1).astype(np.float32))
-        np.testing.assert_array_equal(cache.labels, ds.labels)
+            features, out.reshape(len(ds), -1).astype(np.float32))
 
     def test_cached_head_logits_match_full_forward_f32(self):
-        model = partitioned_mlp()
+        model = build_mlp((3, 8, 8), 3)
         ds = make_blobs(n_per_class=10, seed=1)
-        cache = precompute_features(model, (ds.images, ds.labels))
+        features = precompute_features(model, ds.images)
         head = head_model(model)
         full, _ = forward(model, ds.images)
-        cached, _ = forward(head, cache.features)
+        cached, _ = forward(head, features)
         np.testing.assert_array_equal(full, cached)
 
     def test_cached_cnn_head_logits_match_full_forward_f32(self):
         model = build_cnn((3, 8, 8), 3, seed=0)
-        partition_layers(model, *default_partition(model))
         # 300 rows: two cache batches, each many conv im2col blocks
         ds = make_blobs(n_per_class=100, seed=1)
-        cache = precompute_features(model, (ds.images, ds.labels))
+        features = precompute_features(model, ds.images)
         head = head_model(model)
         full, _ = forward(model, ds.images)
-        cached, _ = forward(head, cache.features)
+        cached, _ = forward(head, features)
         np.testing.assert_array_equal(full, cached)
 
     def test_accepts_plain_arrays(self):
-        model = partitioned_mlp()
+        model = build_mlp((3, 8, 8), 3)
         ds = make_blobs(n_per_class=5)
-        cache = precompute_features(model, (ds.images, ds.labels))
+        features = precompute_features(model, ds.images.tolist())
         # one 256-row batch, as the cache pass takes it
         out = ds.images.astype(model.dtype)
-        for layer in model.layers[:split_index(model)]:
+        for layer in model.layers[:-1]:
             out, _ = layer.forward(out)
-        np.testing.assert_array_equal(cache.features, out.reshape(len(ds), -1))
-        np.testing.assert_array_equal(cache.labels, ds.labels)
+        np.testing.assert_array_equal(features, out.reshape(len(ds), -1))
         with pytest.raises(TypeError):
-            precompute_features(model, ds)  # a Dataset is not a pair
+            precompute_features(model, ds)  # a Dataset is not an image array
 
     def test_batch_size_does_not_change_result(self):
         # not bit-exact across batch sizes: BLAS picks different reduction
         # orders for different shapes, so allow f32 rounding noise
-        model = partitioned_mlp()
+        model = build_mlp((3, 8, 8), 3)
         ds = make_blobs(n_per_class=11)
-        a = precompute_features(model, (ds.images, ds.labels), batch_size=4)
-        b = precompute_features(model, (ds.images, ds.labels), batch_size=256)
-        np.testing.assert_allclose(a.features, b.features, rtol=1e-5, atol=1e-6)
+        a = precompute_features(model, ds.images, batch_size=4)
+        b = precompute_features(model, ds.images, batch_size=256)
+        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
-    def test_cache_validation(self):
-        with pytest.raises(ValueError, match="2-d"):
-            FeatureCache(np.zeros((2, 2, 2), np.float32), np.zeros(2))
-        with pytest.raises(ValueError, match="labels"):
-            FeatureCache(np.zeros((3, 2), np.float32), np.zeros(2))
-        with pytest.raises(ValueError, match="finite"):
-            FeatureCache(np.full((2, 2), np.nan, np.float32), np.zeros(2))
+    def test_f32_cast_overflow_raises(self):
+        # float64 body activations that are finite but overflow the f32 cast
+        layers = [Dense(2, 2, dtype=np.float64) for _ in range(3)]
+        layers[0].W[...] = 1e200
+        model = Model(layers, dtype=np.float64)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            precompute_features(model, np.ones((4, 2)))
 
 
 class TestGroupLrAt:

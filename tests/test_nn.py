@@ -370,17 +370,16 @@ class TestSgdStep:
 
     def test_per_group_rates_applied_per_layer(self):
         rng = f64_rng(0)
+        # four layers: the middle two form the mid group
         layers = [Dense(2, 2, bias=False, dtype=np.float64, rng=rng)
-                  for _ in range(3)]
-        for layer, tag in zip(layers, ("initial", "mid", "final")):
-            layer.group = tag
+                  for _ in range(4)]
         model = Model(layers, dtype=np.float64)
         before = [l.W.copy() for l in layers]
         for l in layers:
             l.grads[0][...] = 1.0
         rates = (1e-4, 1e-3, 1e-2)
         sgd_step(model, rates)
-        for l, b, r in zip(layers, before, rates):
+        for l, b, r in zip(layers, before, (1e-4, 1e-3, 1e-3, 1e-2)):
             assert np.allclose(l.W, b - r, rtol=1e-12)
         # a scalar or a triple only: dict and attribute-style rates are refused
         moved = [l.W.copy() for l in layers]
@@ -392,10 +391,31 @@ class TestSgdStep:
             assert np.array_equal(l.W, m)
 
     def test_group_rates_without_partition_rejected(self):
+        # one parameterized layer cannot form three groups
         model = Model([Dense(2, 2, dtype=np.float64)], dtype=np.float64)
         model.layers[0].grads[0][...] = 1.0
-        with pytest.raises(ValueError, match="group"):
+        before = model.layers[0].W.copy()
+        with pytest.raises(ShapeError, match="at least 3"):
             sgd_step(model, (1e-4, 1e-3, 1e-2))
+        assert np.array_equal(model.layers[0].W, before)
+
+    def test_f32_update_with_numpy_float_rates(self):
+        # np.float64 rates step like Python floats: under numpy 2 promotion
+        # an np.float64 rate would compute the f32 update in f64
+        def step(lr):
+            model = build_cnn((3, 8, 8), 3, seed=1)
+            for layer in model.param_layers():
+                for g in layer.grads:
+                    g[...] = np.random.default_rng(0).standard_normal(g.shape)
+            sgd_step(model, lr, momentum=0.9)
+            return [p.copy() for l in model.param_layers() for p in l.params]
+
+        rates = (0.0123, 0.0456, 0.0789)
+        for a, b in zip(step(rates), step(tuple(map(np.float64, rates)))):
+            assert a.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(step(0.0123), step(np.float64(0.0123))):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestDeterminismAndState:

@@ -1,0 +1,30 @@
+"""README.md stays true: its Python examples run and its config-key table
+lists exactly the keys the config parser accepts."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from lrbench.config import CONFIG_KEYS
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
+
+
+def test_readme_has_python_examples():
+    assert len(PYTHON_BLOCKS) == 3
+
+
+@pytest.mark.parametrize("index", range(len(PYTHON_BLOCKS)))
+def test_python_example_runs(index):
+    exec(compile(PYTHON_BLOCKS[index], f"README.md python block {index}",
+                 "exec"), {})
+
+
+def test_config_table_lists_exactly_the_config_keys():
+    section = README.split("### Config file", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows
+            for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(CONFIG_KEYS)

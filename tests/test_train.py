@@ -5,7 +5,6 @@ import pytest
 
 from lrbench.data import make_blobs
 from lrbench.errors import ConfigError
-from lrbench.groups import default_partition, partition_layers
 from lrbench.nn import Dense, Flatten, Model, build_mlp
 from lrbench.train import (EarlyStopState, TrainConfig, batches_per_epoch,
                            early_stop_update, evaluate, iterate_minibatches,
@@ -203,7 +202,6 @@ class TestTrainPhase:
     def test_history_lr_uses_final_group_rate(self):
         ds = make_blobs(n_per_class=20, seed=0)
         model = build_mlp((3, 8, 8), 3, hidden=(16, 16), seed=0)
-        partition_layers(model, *default_partition(model))
         cfg = TrainConfig(batch_size=16, seed=0)
         history = []
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
