@@ -2,15 +2,18 @@
 range-test / cached-head / differential-rate pipeline, plus reporting.
 
 The conventional run trains the whole model at a fixed rate until early
-stopping, then resumes at a lower fixed rate. The optimized run finds a peak
-rate with the range test, shapes the classifier head on cached features
+stopping, then resumes at a lower fixed rate. The optimized run caches the
+classifier head's inputs from one pass through the body, finds the head's
+peak rate with a range test on that cache, shapes the head on the cache
 under a restarting cosine schedule (the body stays fixed because only the
 head view trains), then fine-tunes the whole model with per-group rates
 whose cycles double in length.
 
 Wall time is measured with a monotonic clock around the training loops only;
-dataset loading is excluded. One benchmark per process; the two pipelines
-run sequentially so they compete for the same hardware fairly.
+dataset loading is excluded. Each report also carries its time to target:
+the wall time at which validation accuracy first met the target. One
+benchmark per process; the two pipelines run sequentially so they compete
+for the same hardware fairly.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 from .data import (CIFAR10_MEAN, CIFAR10_STD, Dataset, load_cifar10,
                    make_blobs, normalize, split)
 from .errors import ConfigError
-from .finder import LRFinderTrace, RangeTestConfig, range_test, suggest_lr
+from .finder import (LRFinderTrace, RangeTestConfig, range_test, suggest_lr,
+                     write_trace_csv)
 from .groups import (LayerGroupRates, group_lr_at, head_model,
                      precompute_features)
 from .nn import Model, build_cnn, build_mlp, forward
@@ -103,7 +107,10 @@ class RunReport:
     reached: bool
     history: list[EpochRecord]
     class_names: list[str]
+    target_seconds: float | None = None
+    target_epoch: int | None = None
     eta_max: float | None = None
+    finder_trace: LRFinderTrace | None = None
 
     @property
     def accuracy(self) -> float:
@@ -144,26 +151,54 @@ def predictions(model: Model, x: np.ndarray, batch_size: int = 256) -> np.ndarra
     return np.concatenate(preds)
 
 
-def run_range_test(cfg: BenchConfig, model: Model,
-                   train_ds: Dataset) -> LRFinderTrace:
-    """The configured range test on the training split, probing at
-    finder_batch, or at the training batch size when that is unset."""
-    return range_test(model, (train_ds.images, train_ds.labels), cfg.finder,
+def run_range_test(cfg: BenchConfig, model: Model, features: np.ndarray,
+                   labels: np.ndarray) -> LRFinderTrace:
+    """The configured range test on the head view of ``model``, over the
+    training split's cached head inputs (precompute_features), probing at
+    finder_batch, or at the training batch size when that is unset. Only
+    the head view steps, and range_test restores it, so the model is left
+    unchanged."""
+    return range_test(head_model(model), (features, labels), cfg.finder,
                       rng_seed=cfg.train.seed,
                       batch_size=cfg.finder_batch or cfg.train.batch_size)
 
 
+def _time_to_target(phases: list[PhaseResult], history: list[EpochRecord],
+                    target: float) -> tuple[float | None, int | None]:
+    """(seconds, epoch) of the first history row with valid_acc >= target:
+    the wall time of every phase before that row's phase, plus the row
+    seconds of its phase up to and including it. (None, None) when no row
+    meets the target."""
+    for i, hit in enumerate(history):
+        if hit.valid_acc >= target:
+            break
+    else:
+        return None, None
+    seconds = 0.0
+    for phase in phases:
+        if phase.name == hit.phase:
+            break
+        seconds += phase.wall_seconds
+    seconds += sum(r.seconds for r in history[:i + 1] if r.phase == hit.phase)
+    return seconds, hit.epoch
+
+
 def finish_report(model: Model, valid_ds: Dataset, phases: list[PhaseResult],
-                  reached: bool, history: list[EpochRecord],
-                  eta_max: float | None = None) -> RunReport:
+                  reached: bool, history: list[EpochRecord], target: float,
+                  eta_max: float | None = None,
+                  finder_trace: LRFinderTrace | None = None) -> RunReport:
     """RunReport of a finished run: the final model's validation confusion
-    matrix, with total_seconds summed over the phases."""
+    matrix, with total_seconds summed over the phases and the time to
+    ``target`` read from the history."""
     conf = confusion(predictions(model, valid_ds.images), valid_ds.labels,
                      valid_ds.n_classes)
+    target_seconds, target_epoch = _time_to_target(phases, history, target)
     return RunReport(phases=phases,
                      total_seconds=sum(p.wall_seconds for p in phases),
                      confusion=conf, reached=reached, history=history,
-                     class_names=list(valid_ds.class_names), eta_max=eta_max)
+                     class_names=list(valid_ds.class_names),
+                     target_seconds=target_seconds, target_epoch=target_epoch,
+                     eta_max=eta_max, finder_trace=finder_trace)
 
 
 def run_conventional(cfg: BenchConfig,
@@ -200,19 +235,23 @@ def run_conventional(cfg: BenchConfig,
             stopper=EarlyStopState(cfg.patience, cfg.min_delta),
             target_accuracy=cfg.target_accuracy, history=history)
     phases.append(PhaseResult("fixed_lr2", ep2, acc2, time.perf_counter() - start))
-    return finish_report(model, valid_ds, phases, reached, history)
+    return finish_report(model, valid_ds, phases, reached, history,
+                         cfg.target_accuracy)
 
 
 def run_optimized(cfg: BenchConfig,
                   data: tuple[Dataset, Dataset] | None = None) -> RunReport:
-    """Three-phase pipeline: (1) range test picks the peak rate; (2) cache
-    the head's inputs from one pass through the body, then train the head
-    view (the final group alone) on the cache under a restarting cosine
-    schedule for up to head_epochs, leaving the body fixed; (3) fine-tune
-    the whole model with per-group rates under doubling cycles until early
-    stopping or the accuracy target. Validation accuracy is checked after
-    every epoch in phases 2 and 3; reaching the target ends the pipeline,
-    so a head that already meets it makes phase 3 a zero-epoch entry.
+    """Three-phase pipeline: (1) cache the head's inputs for both splits
+    from one pass through the body, then pick the peak rate with a range
+    test of the head view (the final group alone) on the cached training
+    features; (2) train the head view on the same cache under a restarting
+    cosine schedule for up to head_epochs, leaving the body fixed; (3)
+    fine-tune the whole model with per-group rates under doubling cycles
+    until early stopping or the accuracy target. Phase 1's accuracy is the
+    untrained head's on the cached validation features, which in f32 equals
+    the full model's. Validation accuracy is checked after every epoch in
+    phases 2 and 3; reaching the target ends the pipeline, so a head that
+    already meets it makes phase 3 a zero-epoch entry.
 
     Raises NoDescentFound if the range test yields no usable suggestion.
     """
@@ -222,14 +261,15 @@ def run_optimized(cfg: BenchConfig,
     phases: list[PhaseResult] = []
 
     start = time.perf_counter()
-    eta_max = suggest_lr(run_range_test(cfg, model, train_ds))
-    _, acc0 = evaluate(model, valid_ds.images, valid_ds.labels)
-    phases.append(PhaseResult("range_test", 0, acc0, time.perf_counter() - start))
-
-    start = time.perf_counter()
     train_feats = precompute_features(model, train_ds.images)
     valid_feats = precompute_features(model, valid_ds.images)
     head = head_model(model)
+    trace = run_range_test(cfg, model, train_feats, train_ds.labels)
+    eta_max = suggest_lr(trace)
+    _, acc0 = evaluate(head, valid_feats, valid_ds.labels)
+    phases.append(PhaseResult("range_test", 0, acc0, time.perf_counter() - start))
+
+    start = time.perf_counter()
     sched2 = CosineCycleConfig(
         eta_max=eta_max, t0=batches_per_epoch(len(train_ds), cfg.train.batch_size),
         eta_min=cfg.sched.eta_min, mult=1)
@@ -257,7 +297,8 @@ def run_optimized(cfg: BenchConfig,
             stopper=EarlyStopState(cfg.patience, cfg.min_delta),
             target_accuracy=cfg.target_accuracy, history=history)
     phases.append(PhaseResult("dlr_clm", ep3, acc3, time.perf_counter() - start))
-    return finish_report(model, valid_ds, phases, reached, history, eta_max)
+    return finish_report(model, valid_ds, phases, reached, history,
+                         cfg.target_accuracy, eta_max, trace)
 
 
 def speedup(conventional, optimized) -> float:
@@ -295,8 +336,10 @@ def write_confusion_csv(path, class_names, counts: np.ndarray) -> None:
 
 
 def emit_report(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
-    """Write {prefix}history.csv, {prefix}confusion.csv and
-    {prefix}summary.txt under out_dir; returns the paths written.
+    """Write {prefix}history.csv, {prefix}confusion.csv, {prefix}summary.txt
+    and, when the report carries a range-test trace,
+    {prefix}finder_trace.csv under out_dir; returns the paths written, the
+    summary last.
 
     History columns, fixed order: epoch,phase,lr,train_loss,valid_loss,
     valid_acc,seconds. The confusion CSV carries class names as both header
@@ -318,6 +361,12 @@ def emit_report(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
     write_confusion_csv(conf_path, report.class_names, report.confusion)
     paths.append(conf_path)
 
+    if report.finder_trace is not None:
+        trace_path = out_dir / f"{prefix}finder_trace.csv"
+        with open(trace_path, "w") as fh:
+            write_trace_csv(report.finder_trace, fh)
+        paths.append(trace_path)
+
     text_path = out_dir / f"{prefix}summary.txt"
     with open(text_path, "w") as fh:
         fh.write("phase            epochs  valid_acc  wall_s\n")
@@ -326,6 +375,11 @@ def emit_report(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
                      f"  {p.wall_seconds:>7.2f}\n")
         fh.write(f"total_seconds: {report.total_seconds:.2f}\n")
         fh.write(f"reached_target: {'yes' if report.reached else 'no'}\n")
+        if report.target_seconds is None:
+            fh.write("time_to_target: not reached\n")
+        else:
+            fh.write(f"time_to_target: {report.target_seconds:.2f} s "
+                     f"(epoch {report.target_epoch})\n")
         fh.write(f"accuracy: {report.accuracy:.4f}\n")
         if report.eta_max is not None:
             fh.write(f"eta_max: {report.eta_max!r}\n")

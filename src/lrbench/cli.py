@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands:
-  lr-find        run the LR range test and print a suggested peak rate
+  lr-find        run the LR range test on the head over cached features and
+                 print a suggested peak rate
   train          train one model under the restarting cosine schedule
   benchmark      run conventional and optimized pipelines, report speedup
   schedule-dump  write the cosine schedule as CSV for inspection
@@ -27,6 +28,7 @@ from .bench import (PhaseResult, build_model, confusion, emit_report,
 from .config import build_bench_config, parse_config_file
 from .errors import ConfigError, DataError
 from .finder import NoDescentFound, suggest_lr, write_trace_csv
+from .groups import precompute_features
 from .schedule import dump_schedule, lr_at, write_schedule_csv
 from .train import EarlyStopState, train_phase
 
@@ -47,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", choices=("mlp", "cnn"))
         sp.add_argument("--precision", choices=("f32", "f64"))
 
-    add_common(sub.add_parser("lr-find", help="suggest a peak learning rate"))
+    add_common(sub.add_parser("lr-find",
+                              help="suggest the head's peak learning rate"))
     add_common(sub.add_parser("train", help="train under the cosine schedule"))
     add_common(sub.add_parser("benchmark",
                               help="compare conventional vs optimized training"))
@@ -79,7 +82,9 @@ def cmd_lr_find(args) -> None:
     cfg = _bench_config(args)
     train_ds, _ = load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
-    trace = run_range_test(cfg, model, train_ds)
+    trace = run_range_test(cfg, model,
+                           precompute_features(model, train_ds.images),
+                           train_ds.labels)
     trace_path = _out_dir(args) / "finder_trace.csv"
     with open(trace_path, "w") as fh:
         write_trace_csv(trace, fh)
@@ -102,7 +107,8 @@ def cmd_train(args) -> None:
         stopper=EarlyStopState(cfg.patience, cfg.min_delta),
         target_accuracy=cfg.target_accuracy, history=history)
     phases = [PhaseResult("sgdr", epochs, acc, time.perf_counter() - start)]
-    report = finish_report(model, valid_ds, phases, reached, history)
+    report = finish_report(model, valid_ds, phases, reached, history,
+                           cfg.target_accuracy)
     for path in emit_report(report, _out_dir(args)):
         print(f"wrote {path}")
     print(f"valid_acc: {acc:.4f} after {epochs} epochs "

@@ -1,16 +1,21 @@
 import csv
+import io
+import math
 
 import numpy as np
 import pytest
 
-from lrbench.bench import (BenchConfig, RunReport, PhaseResult, build_model,
-                           confusion, emit_report, load_bench_dataset,
-                           predictions, run_conventional, run_optimized,
+import lrbench.bench
+from lrbench.bench import (BenchConfig, RunReport, PhaseResult,
+                           _time_to_target, build_model, confusion,
+                           emit_report, load_bench_dataset, predictions,
+                           run_conventional, run_optimized, run_range_test,
                            speedup)
 from lrbench.errors import ConfigError
-from lrbench.finder import RangeTestConfig
-from lrbench.nn import Conv2d, Dense, forward
-from lrbench.train import TrainConfig
+from lrbench.finder import RangeTestConfig, write_trace_csv
+from lrbench.groups import precompute_features
+from lrbench.nn import Conv2d, Dense, forward, train_step
+from lrbench.train import EpochRecord, TrainConfig, evaluate
 
 
 def tiny_config(seed=0, **kwargs):
@@ -141,6 +146,62 @@ class TestRunReport:
         assert report.accuracy == pytest.approx(17 / 20)
 
 
+def epoch_row(epoch, phase, valid_acc, seconds):
+    return EpochRecord(epoch=epoch, phase=phase, lr=0.1, train_loss=1.0,
+                       valid_loss=1.0, valid_acc=valid_acc, seconds=seconds)
+
+
+class TestTimeToTarget:
+    PHASES = [PhaseResult("range_test", 0, 0.25, 0.5),
+              PhaseResult("head_sgdr", 2, 0.625, 2.5),
+              PhaseResult("dlr_clm", 3, 0.9375, 3.0)]
+    HISTORY = [epoch_row(0, "head_sgdr", 0.5, 1.0),
+               epoch_row(1, "head_sgdr", 0.625, 1.25),
+               epoch_row(2, "dlr_clm", 0.875, 1.0),
+               epoch_row(3, "dlr_clm", 0.9375, 0.75),
+               epoch_row(4, "dlr_clm", 0.9375, 1.0)]
+
+    def test_hand_built_history(self):
+        # earlier phases count whole, the hit's phase up to the hit's row
+        assert _time_to_target(self.PHASES, self.HISTORY, 0.9) == (
+            0.5 + 2.5 + 1.0 + 0.75, 3)
+        assert _time_to_target(self.PHASES, self.HISTORY, 0.5) == (
+            0.5 + 1.0, 0)
+        assert _time_to_target(self.PHASES, self.HISTORY, 0.875) == (
+            0.5 + 2.5 + 1.0, 2)
+
+    def test_not_reached(self):
+        assert _time_to_target(self.PHASES, self.HISTORY, 0.95) == (None, None)
+        assert _time_to_target(self.PHASES, [], 0.5) == (None, None)
+
+    def test_conventional_phase_one_meets_target_before_its_budget(self):
+        # noisy blobs at a low rate: phase 1 first meets 0.6 at epoch 2 and
+        # then keeps running to its 8-epoch budget
+        train = TrainConfig(max_epochs=8, batch_size=16, seed=0)
+        cfg = tiny_config(train=train, patience=8, target_accuracy=0.6,
+                          blobs_noise=0.3, lr1=0.002, lr2=0.001)
+        report = run_conventional(cfg)
+        first = next(r for r in report.history
+                     if r.valid_acc >= cfg.target_accuracy)
+        assert first.phase == "fixed_lr1"
+        assert report.phases[0].epochs_run == 8
+        assert report.target_epoch == first.epoch < 7
+        assert report.target_seconds == pytest.approx(
+            sum(r.seconds for r in report.history[:first.epoch + 1]))
+        assert report.target_seconds < report.phases[0].wall_seconds
+
+    def test_summary_line(self, tmp_path):
+        report = RunReport(phases=self.PHASES, total_seconds=6.0,
+                           confusion=np.eye(2, dtype=np.int64), reached=True,
+                           history=self.HISTORY, class_names=["a", "b"],
+                           target_seconds=4.75, target_epoch=3)
+        *_, summary = emit_report(report, tmp_path)
+        assert "time_to_target: 4.75 s (epoch 3)\n" in summary.read_text()
+        report.target_seconds = report.target_epoch = None
+        *_, summary = emit_report(report, tmp_path)
+        assert "time_to_target: not reached\n" in summary.read_text()
+
+
 class TestPipelines:
     def test_conventional_shape(self):
         cfg = tiny_config()
@@ -201,6 +262,74 @@ class TestPipelines:
                 for r in run.history] for run in runs]
         assert key[0] == key[1]
         np.testing.assert_array_equal(runs[0].confusion, runs[1].confusion)
+
+    @pytest.mark.parametrize("model", ["mlp", "cnn"])
+    def test_range_test_phase_runs_only_the_cache_build(self, model,
+                                                         monkeypatch):
+        # up to the first dlr_clm step the body runs forward once per cache
+        # batch of each split and never backward: the range test and the
+        # range-test phase's accuracy use the head view on the cache
+        cfg = tiny_config(model=model, head_epochs=1, target_accuracy=0.99)
+        counts = {}
+        at_dlr_clm = {}
+        real_build = lrbench.bench.build_model
+        real_phase = lrbench.bench.train_phase
+
+        def spied_build(*args, **kwargs):
+            built = real_build(*args, **kwargs)
+            head_start = built.layers.index(built.param_groups()[2][0])
+            for layer in built.layers[:head_start]:
+                calls = counts[layer.name] = {"forward": 0, "backward": 0}
+                for method in calls:
+                    def counted(*a, _real=getattr(layer, method),
+                                _calls=calls, _method=method, **k):
+                        _calls[_method] += 1
+                        return _real(*a, **k)
+                    setattr(layer, method, counted)
+            return built
+
+        def spied_phase(*args, **kwargs):
+            if kwargs["phase_name"] == "dlr_clm":
+                at_dlr_clm.update({k: dict(v) for k, v in counts.items()})
+            return real_phase(*args, **kwargs)
+
+        monkeypatch.setattr(lrbench.bench, "build_model", spied_build)
+        monkeypatch.setattr(lrbench.bench, "train_phase", spied_phase)
+        train_ds, valid_ds = load_bench_dataset(cfg)
+        run_optimized(cfg, (train_ds, valid_ds))
+        assert at_dlr_clm, "dlr_clm never started"
+        cache_batches = (math.ceil(len(train_ds) / 256)
+                         + math.ceil(len(valid_ds) / 256))
+        assert at_dlr_clm == {name: {"forward": cache_batches, "backward": 0}
+                              for name in counts}
+
+    @pytest.mark.parametrize("model", ["mlp", "cnn"])
+    def test_range_test_accuracy_is_the_full_models(self, model):
+        cfg = tiny_config(model=model)
+        train_ds, valid_ds = load_bench_dataset(cfg)
+        report = run_optimized(cfg, (train_ds, valid_ds))
+        untrained = build_model(cfg, train_ds.images.shape[1:],
+                                train_ds.n_classes)
+        _, acc = evaluate(untrained, valid_ds.images, valid_ds.labels)
+        assert report.phases[0].final_valid_acc == acc
+
+    def test_run_range_test_leaves_the_model_unchanged(self):
+        cfg = tiny_config()
+        train_ds, _ = load_bench_dataset(cfg)
+        model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
+        # one momentum step first, so that velocities are not all zero
+        train_step(model, train_ds.images[:16], train_ds.labels[:16], 0.01,
+                   momentum=0.9)
+        before = model.clone_state()
+        trace = run_range_test(cfg, model,
+                               precompute_features(model, train_ds.images),
+                               train_ds.labels)
+        assert len(trace.steps) > 3
+        for (params0, vels0), (params1, vels1) in zip(before,
+                                                      model.clone_state()):
+            for a, b in zip(params0 + vels0, params1 + vels1):
+                np.testing.assert_array_equal(a, b)
+        assert any(np.any(v) for _, vels in before for v in vels)
 
     def test_predictions_match_forward_argmax(self):
         cfg = tiny_config()
@@ -264,3 +393,13 @@ class TestEmitReport:
         report = run_optimized(tiny_config())
         *_, summary = emit_report(report, tmp_path)
         assert f"eta_max: {report.eta_max!r}" in summary.read_text()
+
+    def test_finder_trace_written_when_present(self, tmp_path):
+        report = run_optimized(tiny_config())
+        paths = emit_report(report, tmp_path, "optimized_")
+        assert [p.name for p in paths] == [
+            "optimized_history.csv", "optimized_confusion.csv",
+            "optimized_finder_trace.csv", "optimized_summary.txt"]
+        expected = io.StringIO()
+        write_trace_csv(report.finder_trace, expected)
+        assert paths[2].read_text() == expected.getvalue()

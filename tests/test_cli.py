@@ -1,4 +1,6 @@
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from lrbench.bench import BenchConfig, build_model, load_bench_dataset
 from lrbench.cli import main, run
 from lrbench.config import CONFIG_KEYS, build_bench_config, parse_config_file
 from lrbench.errors import ConfigError
-from lrbench.finder import range_test, write_trace_csv
+from lrbench.finder import (LRFinderTrace, range_test, suggest_lr,
+                            write_trace_csv)
+from lrbench.groups import head_model, precompute_features
 
 TINY_CONFIG = """\
 # desk-scale smoke config
@@ -193,7 +197,9 @@ class TestLrFind:
         cfg = build_bench_config(parse_config_file(cfg_path))
         train_ds, _ = load_bench_dataset(cfg)
         model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
-        trace = range_test(model, (train_ds.images, train_ds.labels),
+        trace = range_test(head_model(model),
+                           (precompute_features(model, train_ds.images),
+                            train_ds.labels),
                            cfg.finder, rng_seed=cfg.train.seed, batch_size=128)
         expected = io.StringIO()
         write_trace_csv(trace, expected)
@@ -238,6 +244,26 @@ class TestBenchmarkCommand:
         assert "speedup:" in stdout
         assert "conventional:" in stdout
         assert "optimized:" in stdout
+
+    def test_optimized_finder_trace_gives_eta_max(self, tmp_path,
+                                                  tiny_config_file):
+        out = tmp_path / "out"
+        assert run(["benchmark", "--config", str(tiny_config_file),
+                    "--out", str(out)]) == 0
+        assert not (out / "conventional_finder_trace.csv").exists()
+        with open(out / "optimized_finder_trace.csv", newline="") as fh:
+            steps = [(float(r["lr"]), float(r["raw_loss"]),
+                      float(r["smoothed_loss"])) for r in csv.DictReader(fh)]
+        # the CSV has no stop reason; range_test's divergence rule gives it
+        # (TINY_CONFIG keeps the default divergence factor of 4)
+        last = steps[-1][2]
+        diverged = not math.isfinite(last) or last > 4.0 * min(
+            s for _, _, s in steps[:-1])
+        trace = LRFinderTrace(steps, "diverged" if diverged else "completed")
+        summary = (out / "optimized_summary.txt").read_text()
+        eta_line = next(line for line in summary.splitlines()
+                        if line.startswith("eta_max: "))
+        assert float(eta_line.split(": ")[1]) == suggest_lr(trace)
 
 
 class TestExitCodes:
