@@ -7,8 +7,8 @@ checked gradients, and a CLI that benchmarks a conventional fixed-rate
 baseline against the optimized pipeline.
 """
 
-from .bench import (BenchConfig, PhaseResult, RunReport, confusion,
-                    emit_report, run_conventional, run_optimized, speedup)
+from .bench import (BenchConfig, RunReport, confusion, emit_report,
+                    run_conventional, run_optimized, speedup)
 from .data import Dataset, augment, load_cifar10, make_blobs, normalize, split
 from .errors import ConfigError, DataError, LRBenchError
 from .finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
@@ -16,7 +16,8 @@ from .finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
 from .groups import LayerGroupRates, group_lr_at, precompute_features
 from .nn import Model, backward, build_cnn, build_mlp, forward, sgd_step
 from .schedule import CosineCycleConfig, cosine_lr, dump_schedule, lr_at
-from .train import EarlyStopState, TrainConfig, early_stop_update, evaluate
+from .train import (EarlyStopState, PhaseResult, TrainConfig,
+                    early_stop_update, evaluate)
 
 __version__ = "0.1.0"
 

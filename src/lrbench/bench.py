@@ -9,11 +9,14 @@ under a restarting cosine schedule (the body stays fixed because only the
 head view trains), then fine-tunes the whole model with per-group rates
 whose cycles double in length.
 
-Wall time is measured with a monotonic clock around the training loops only;
-dataset loading is excluded. Each report also carries its time to target:
-the wall time at which validation accuracy first met the target. One
-benchmark per process; the two pipelines run sequentially so they compete
-for the same hardware fairly.
+Every phase starts from rest (zero momentum velocity) and is timed with a
+monotonic clock: a training phase by train_phase itself, the range-test
+phase from the cache build to its accuracy check. Dataset loading is
+excluded, and a phase skipped because the target was already met counts
+0 epochs and 0 s. Each report also carries its time to target: the wall
+time at which validation accuracy first met the target. One benchmark per
+process; the two pipelines run sequentially so they compete for the same
+hardware fairly.
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ from .groups import (LayerGroupRates, group_lr_at, head_model,
                      precompute_features)
 from .nn import Model, build_cnn, build_mlp, forward
 from .schedule import CosineCycleConfig, lr_at
-from .train import (EarlyStopState, EpochRecord, TrainConfig,
+from .train import (EarlyStopState, EpochRecord, PhaseResult, TrainConfig,
                     batches_per_epoch, evaluate, train_phase)
 
 __all__ = [
     "BenchConfig",
-    "PhaseResult",
     "RunReport",
     "load_bench_dataset",
     "build_model",
@@ -89,14 +91,6 @@ class BenchConfig:
             raise ConfigError(f"finder_batch must be >= 1, got {self.finder_batch}")
         if self.split_num < 1 or self.split_den < 1:
             raise ConfigError("split ratio parts must be >= 1")
-
-
-@dataclass(frozen=True)
-class PhaseResult:
-    name: str
-    epochs_run: int
-    final_valid_acc: float
-    wall_seconds: float
 
 
 @dataclass
@@ -155,8 +149,8 @@ def run_range_test(cfg: BenchConfig, model: Model, features: np.ndarray,
                    labels: np.ndarray) -> LRFinderTrace:
     """The configured range test on the head view of ``model``, over the
     training split's cached head inputs (precompute_features), probing at
-    finder_batch, or at the training batch size when that is unset. Only
-    the head view steps, and range_test restores it, so the model is left
+    finder_batch, or at the training batch size when that is unset.
+    range_test steps a copy of the head view, so the model is left
     unchanged."""
     return range_test(head_model(model), (features, labels), cfg.finder,
                       rng_seed=cfg.train.seed,
@@ -184,18 +178,21 @@ def _time_to_target(phases: list[PhaseResult], history: list[EpochRecord],
 
 
 def finish_report(model: Model, valid_ds: Dataset, phases: list[PhaseResult],
-                  reached: bool, history: list[EpochRecord], target: float,
+                  history: list[EpochRecord], target: float,
                   eta_max: float | None = None,
                   finder_trace: LRFinderTrace | None = None) -> RunReport:
     """RunReport of a finished run: the final model's validation confusion
-    matrix, with total_seconds summed over the phases and the time to
-    ``target`` read from the history."""
+    matrix, with total_seconds summed over the phases, ``reached`` when the
+    last phase ended at or above ``target`` and the time to ``target`` read
+    from the history."""
     conf = confusion(predictions(model, valid_ds.images), valid_ds.labels,
                      valid_ds.n_classes)
     target_seconds, target_epoch = _time_to_target(phases, history, target)
     return RunReport(phases=phases,
                      total_seconds=sum(p.wall_seconds for p in phases),
-                     confusion=conf, reached=reached, history=history,
+                     confusion=conf,
+                     reached=phases[-1].final_valid_acc >= target,
+                     history=history,
                      class_names=list(valid_ds.class_names),
                      target_seconds=target_seconds, target_epoch=target_epoch,
                      eta_max=eta_max, finder_trace=finder_trace)
@@ -211,31 +208,22 @@ def run_conventional(cfg: BenchConfig,
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
     train_cfg = replace(cfg.train, weight_decay=0.0)
     history: list[EpochRecord] = []
-    phases: list[PhaseResult] = []
-
-    start = time.perf_counter()
-    acc1, ep1, _ = train_phase(
+    fixed_lr1 = train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
         phase_name="fixed_lr1", phase_index=1, lr_fn=lambda t: cfg.lr1,
         cfg=train_cfg, max_epochs=cfg.train.max_epochs,
         stopper=EarlyStopState(cfg.patience, cfg.min_delta), history=history)
-    phases.append(PhaseResult("fixed_lr1", ep1, acc1, time.perf_counter() - start))
-
-    start = time.perf_counter()
-    reached = acc1 >= cfg.target_accuracy
-    if reached:
-        acc2, ep2 = acc1, 0
+    if fixed_lr1.final_valid_acc >= cfg.target_accuracy:
+        fixed_lr2 = PhaseResult("fixed_lr2", 0, fixed_lr1.final_valid_acc, 0.0)
     else:
-        model.zero_velocity()
-        acc2, ep2, reached = train_phase(
+        fixed_lr2 = train_phase(
             model, train_ds.images, train_ds.labels, valid_ds.images,
             valid_ds.labels, phase_name="fixed_lr2", phase_index=2,
             lr_fn=lambda t: cfg.lr2, cfg=train_cfg,
             max_epochs=cfg.train.max_epochs,
             stopper=EarlyStopState(cfg.patience, cfg.min_delta),
             target_accuracy=cfg.target_accuracy, history=history)
-    phases.append(PhaseResult("fixed_lr2", ep2, acc2, time.perf_counter() - start))
-    return finish_report(model, valid_ds, phases, reached, history,
+    return finish_report(model, valid_ds, [fixed_lr1, fixed_lr2], history,
                          cfg.target_accuracy)
 
 
@@ -258,7 +246,6 @@ def run_optimized(cfg: BenchConfig,
     train_ds, valid_ds = data if data is not None else load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
     history: list[EpochRecord] = []
-    phases: list[PhaseResult] = []
 
     start = time.perf_counter()
     train_feats = precompute_features(model, train_ds.images)
@@ -267,38 +254,30 @@ def run_optimized(cfg: BenchConfig,
     trace = run_range_test(cfg, model, train_feats, train_ds.labels)
     eta_max = suggest_lr(trace)
     _, acc0 = evaluate(head, valid_feats, valid_ds.labels)
-    phases.append(PhaseResult("range_test", 0, acc0, time.perf_counter() - start))
+    range_phase = PhaseResult("range_test", 0, acc0, time.perf_counter() - start)
 
-    start = time.perf_counter()
     sched2 = CosineCycleConfig(
         eta_max=eta_max, t0=batches_per_epoch(len(train_ds), cfg.train.batch_size),
         eta_min=cfg.sched.eta_min, mult=1)
-    model.zero_velocity()
-    acc2, ep2, _ = train_phase(
+    head_sgdr = train_phase(
         head, train_feats, train_ds.labels, valid_feats, valid_ds.labels,
         phase_name="head_sgdr", phase_index=2,
         lr_fn=lambda t: lr_at(t, sched2),
         cfg=replace(cfg.train, augment=False), max_epochs=cfg.head_epochs,
         stopper=EarlyStopState(cfg.patience, cfg.min_delta),
         target_accuracy=cfg.target_accuracy, history=history)
-    phases.append(PhaseResult("head_sgdr", ep2, acc2, time.perf_counter() - start))
-
-    start = time.perf_counter()
-    model.zero_velocity()
-    reached = acc2 >= cfg.target_accuracy
-    if reached:
-        acc3, ep3 = acc2, 0
+    if head_sgdr.final_valid_acc >= cfg.target_accuracy:
+        dlr_clm = PhaseResult("dlr_clm", 0, head_sgdr.final_valid_acc, 0.0)
     else:
-        acc3, ep3, reached = train_phase(
+        dlr_clm = train_phase(
             model, train_ds.images, train_ds.labels, valid_ds.images,
             valid_ds.labels, phase_name="dlr_clm", phase_index=3,
             lr_fn=lambda t: group_lr_at(t, cfg.rates, cfg.sched),
             cfg=cfg.train, max_epochs=cfg.train.max_epochs,
             stopper=EarlyStopState(cfg.patience, cfg.min_delta),
             target_accuracy=cfg.target_accuracy, history=history)
-    phases.append(PhaseResult("dlr_clm", ep3, acc3, time.perf_counter() - start))
-    return finish_report(model, valid_ds, phases, reached, history,
-                         cfg.target_accuracy, eta_max, trace)
+    return finish_report(model, valid_ds, [range_phase, head_sgdr, dlr_clm],
+                         history, cfg.target_accuracy, eta_max, trace)
 
 
 def speedup(conventional, optimized) -> float:

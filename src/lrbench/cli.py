@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-from .bench import (PhaseResult, build_model, confusion, emit_report,
-                    finish_report, load_bench_dataset, run_conventional,
-                    run_optimized, run_range_test, speedup,
-                    write_confusion_csv)
+from .bench import (build_model, confusion, emit_report, finish_report,
+                    load_bench_dataset, run_conventional, run_optimized,
+                    run_range_test, speedup, write_confusion_csv)
 from .config import build_bench_config, parse_config_file
 from .errors import ConfigError, DataError
 from .finder import NoDescentFound, suggest_lr, write_trace_csv
@@ -98,21 +96,19 @@ def cmd_train(args) -> None:
     train_ds, valid_ds = load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
     history = []
-    start = time.perf_counter()
-    acc, epochs, reached = train_phase(
+    phase = train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images,
         valid_ds.labels, phase_name="sgdr", phase_index=1,
         lr_fn=lambda t: lr_at(t, cfg.sched), cfg=cfg.train,
         max_epochs=cfg.train.max_epochs,
         stopper=EarlyStopState(cfg.patience, cfg.min_delta),
         target_accuracy=cfg.target_accuracy, history=history)
-    phases = [PhaseResult("sgdr", epochs, acc, time.perf_counter() - start)]
-    report = finish_report(model, valid_ds, phases, reached, history,
+    report = finish_report(model, valid_ds, [phase], history,
                            cfg.target_accuracy)
     for path in emit_report(report, _out_dir(args)):
         print(f"wrote {path}")
-    print(f"valid_acc: {acc:.4f} after {epochs} epochs "
-          f"({'target reached' if reached else 'stopped early'})")
+    print(f"valid_acc: {phase.final_valid_acc:.4f} after {phase.epochs_run} "
+          f"epochs ({'target reached' if report.reached else 'stopped early'})")
 
 
 def cmd_benchmark(args) -> None:

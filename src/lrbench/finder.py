@@ -5,13 +5,13 @@ steps, record raw and smoothed losses, stop once the smoothed loss blows past
 its running minimum, and suggest a starting rate from the steepest descent of
 the smoothed curve against log(lr).
 
-range_test mutates the model it is given and restores it afterwards, so it is
-not safe to call concurrently on one model instance. The pure helpers
-(ramp_lr, suggest_lr) are thread-safe.
+range_test steps a copy of the model it is given and leaves the model itself
+unchanged.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import IO
@@ -101,9 +101,9 @@ def range_test(model: Model, data, cfg: RangeTestConfig, rng_seed: int,
     exceeds divergence_factor times the smoothed minimum seen before it; a
     non-finite loss stops the same way.
 
-    Batches are drawn from a single seed-shuffled pass over the data, cycling
-    as needed. Model parameters and velocities are restored to their pre-test
-    values before returning.
+    Batches of ``batch_size`` rows are drawn from a single seed-shuffled
+    pass over the data, cycling through it as needed. The steps run on a
+    copy of the model, so the model itself is left unchanged.
     """
     x_all, y_all = map(np.asarray, data)
     n = len(x_all)
@@ -111,43 +111,35 @@ def range_test(model: Model, data, cfg: RangeTestConfig, rng_seed: int,
         raise ValueError("range test needs a non-empty dataset")
     order = np.random.default_rng(rng_seed).permutation(n)
 
-    snapshot = model.clone_state()
+    probe = copy.deepcopy(model)
     steps: list[tuple[float, float, float]] = []
     stop_reason = "completed"
     beta = cfg.smoothing_beta
     m = 0.0
     best = math.inf
-    pos = 0
-    try:
-        for i in range(cfg.n_steps):
-            if pos + batch_size <= n:
-                idx = order[pos:pos + batch_size]
-            else:
-                idx = np.concatenate([order[pos:], order[:(pos + batch_size) % n or n]])
-                idx = idx[:batch_size]
-            pos = (pos + batch_size) % n
-            lr = ramp_lr(i, cfg)
-            try:
-                # the ramp is expected to push into instability; overflow is
-                # a signal here, not an error worth warning about
-                with np.errstate(over="ignore", invalid="ignore"):
-                    raw = train_step(model, x_all[idx], y_all[idx], lr)
-            except NonFiniteLossError as err:
-                raw = err.value
-            m, smoothed = _ema_update(m, raw, beta, i)
-            steps.append((lr, raw, smoothed))
-            if not math.isfinite(smoothed):
-                stop_reason = "diverged"
-                break
-            if i == 0:
-                best = smoothed
-                continue
-            if smoothed > cfg.divergence_factor * best:
-                stop_reason = "diverged"
-                break
-            best = min(best, smoothed)
-    finally:
-        model.load_state(snapshot)
+    for i in range(cfg.n_steps):
+        idx = np.take(order, np.arange(i * batch_size, (i + 1) * batch_size),
+                      mode="wrap")
+        lr = ramp_lr(i, cfg)
+        try:
+            # the ramp is expected to push into instability; overflow is a
+            # signal here, not an error worth warning about
+            with np.errstate(over="ignore", invalid="ignore"):
+                raw = train_step(probe, x_all[idx], y_all[idx], lr)
+        except NonFiniteLossError as err:
+            raw = err.value
+        m, smoothed = _ema_update(m, raw, beta, i)
+        steps.append((lr, raw, smoothed))
+        if not math.isfinite(smoothed):
+            stop_reason = "diverged"
+            break
+        if i == 0:
+            best = smoothed
+            continue
+        if smoothed > cfg.divergence_factor * best:
+            stop_reason = "diverged"
+            break
+        best = min(best, smoothed)
     return LRFinderTrace(steps=steps, stop_reason=stop_reason)
 
 
@@ -190,6 +182,8 @@ def suggest_lr(trace: LRFinderTrace) -> float:
 
 
 def write_trace_csv(trace: LRFinderTrace, out: IO[str]) -> None:
-    out.write("step,lr,raw_loss,smoothed_loss\n")
+    """One row per step, with the trace's stop reason on every row, so the
+    file alone gives back suggest_lr's suggestion."""
+    out.write("step,lr,raw_loss,smoothed_loss,stop_reason\n")
     for i, (lr, raw, smoothed) in enumerate(trace.steps):
-        out.write(f"{i},{lr!r},{raw!r},{smoothed!r}\n")
+        out.write(f"{i},{lr!r},{raw!r},{smoothed!r},{trace.stop_reason}\n")

@@ -262,23 +262,6 @@ class Model:
         b1 = (n - 1) // 2
         return layers[:b1], layers[b1:n - 1], layers[n - 1:]
 
-    def clone_state(self):
-        """Bit-exact snapshot of parameters and velocities."""
-        return [
-            ([p.copy() for p in l.params], [v.copy() for v in l.vel])
-            for l in self.param_layers()
-        ]
-
-    def load_state(self, state) -> None:
-        layers = self.param_layers()
-        if len(state) != len(layers):
-            raise ShapeError("state does not match this model's layer structure")
-        for layer, (params, vels) in zip(layers, state):
-            for p, saved in zip(layer.params, params):
-                p[...] = saved
-            for v, saved in zip(layer.vel, vels):
-                v[...] = saved
-
     def zero_velocity(self) -> None:
         for layer in self.param_layers():
             for v in layer.vel:

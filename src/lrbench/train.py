@@ -21,6 +21,7 @@ __all__ = [
     "TrainConfig",
     "EarlyStopState",
     "EpochRecord",
+    "PhaseResult",
     "early_stop_update",
     "batches_per_epoch",
     "iterate_minibatches",
@@ -121,12 +122,21 @@ class EpochRecord:
     seconds: float
 
 
+@dataclass(frozen=True)
+class PhaseResult:
+    name: str
+    epochs_run: int
+    final_valid_acc: float
+    wall_seconds: float
+
+
 def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
                 phase_name: str, phase_index: int, lr_fn, cfg: TrainConfig,
                 max_epochs: int, stopper: EarlyStopState | None = None,
                 target_accuracy: float | None = None,
-                history: list[EpochRecord] | None = None) -> tuple[float, int, bool]:
-    """Run one training phase; returns (final_valid_acc, epochs_run, reached).
+                history: list[EpochRecord] | None = None) -> PhaseResult:
+    """Run one training phase from rest: the model's velocities are zeroed
+    first. Returns the phase's PhaseResult, timed from call to return.
 
     lr_fn maps the phase's iteration counter, which starts at 0 and runs on
     across epochs, to either a scalar rate or a per-group rate triple. It is
@@ -135,11 +145,13 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
     whose epoch is its index in ``history``: a phase appending to a history
     numbers its epochs on from the rows already there. The phase ends at
     max_epochs, at the stopper's say-so, or as soon as validation accuracy
-    meets target_accuracy.
+    meets target_accuracy, so it met the target exactly when its final
+    accuracy does.
     """
+    phase_start = time.perf_counter()
+    model.zero_velocity()
     t = 0
     epochs_run = 0
-    reached = False
     final_acc = float("nan")
     for epoch in range(max_epochs):
         start_time = time.perf_counter()
@@ -171,8 +183,8 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
                 lr=float(epoch_lr), train_loss=loss_sum / n_seen,
                 valid_loss=valid_loss, valid_acc=valid_acc, seconds=seconds))
         if target_accuracy is not None and valid_acc >= target_accuracy:
-            reached = True
             break
         if stopper is not None and early_stop_update(stopper, valid_acc) == "stop":
             break
-    return final_acc, epochs_run, reached
+    return PhaseResult(phase_name, epochs_run, final_acc,
+                       time.perf_counter() - phase_start)

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 import lrbench.bench
-from lrbench.bench import (BenchConfig, RunReport, PhaseResult,
-                           _time_to_target, build_model, confusion,
-                           emit_report, load_bench_dataset, predictions,
-                           run_conventional, run_optimized, run_range_test,
-                           speedup)
+from lrbench.bench import (BenchConfig, RunReport, _time_to_target,
+                           build_model, confusion, emit_report,
+                           load_bench_dataset, predictions, run_conventional,
+                           run_optimized, run_range_test, speedup)
 from lrbench.errors import ConfigError
 from lrbench.finder import RangeTestConfig, write_trace_csv
 from lrbench.groups import precompute_features
 from lrbench.nn import Conv2d, Dense, forward, train_step
-from lrbench.train import EpochRecord, TrainConfig, evaluate
+from lrbench.train import EpochRecord, PhaseResult, TrainConfig, evaluate
 
 
 def tiny_config(seed=0, **kwargs):
@@ -320,16 +319,16 @@ class TestPipelines:
         # one momentum step first, so that velocities are not all zero
         train_step(model, train_ds.images[:16], train_ds.labels[:16], 0.01,
                    momentum=0.9)
-        before = model.clone_state()
+        before = [[a.copy() for a in layer.params + layer.vel]
+                  for layer in model.param_layers()]
         trace = run_range_test(cfg, model,
                                precompute_features(model, train_ds.images),
                                train_ds.labels)
         assert len(trace.steps) > 3
-        for (params0, vels0), (params1, vels1) in zip(before,
-                                                      model.clone_state()):
-            for a, b in zip(params0 + vels0, params1 + vels1):
+        for saved, layer in zip(before, model.param_layers()):
+            for a, b in zip(saved, layer.params + layer.vel):
                 np.testing.assert_array_equal(a, b)
-        assert any(np.any(v) for _, vels in before for v in vels)
+        assert any(np.any(layer.vel[0]) for layer in model.param_layers())
 
     def test_predictions_match_forward_argmax(self):
         cfg = tiny_config()

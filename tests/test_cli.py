@@ -1,6 +1,5 @@
 import csv
 import io
-import math
 
 import numpy as np
 import pytest
@@ -181,7 +180,7 @@ class TestLrFind:
                     "--out", str(out)])
         assert code == 0
         trace_lines = (out / "finder_trace.csv").read_text().splitlines()
-        assert trace_lines[0] == "step,lr,raw_loss,smoothed_loss"
+        assert trace_lines[0] == "step,lr,raw_loss,smoothed_loss,stop_reason"
         assert len(trace_lines) > 3
         stdout = capsys.readouterr().out
         assert "suggested_lr:" in stdout
@@ -252,14 +251,10 @@ class TestBenchmarkCommand:
                     "--out", str(out)]) == 0
         assert not (out / "conventional_finder_trace.csv").exists()
         with open(out / "optimized_finder_trace.csv", newline="") as fh:
-            steps = [(float(r["lr"]), float(r["raw_loss"]),
-                      float(r["smoothed_loss"])) for r in csv.DictReader(fh)]
-        # the CSV has no stop reason; range_test's divergence rule gives it
-        # (TINY_CONFIG keeps the default divergence factor of 4)
-        last = steps[-1][2]
-        diverged = not math.isfinite(last) or last > 4.0 * min(
-            s for _, _, s in steps[:-1])
-        trace = LRFinderTrace(steps, "diverged" if diverged else "completed")
+            rows = list(csv.DictReader(fh))
+        trace = LRFinderTrace([(float(r["lr"]), float(r["raw_loss"]),
+                                float(r["smoothed_loss"])) for r in rows],
+                              rows[-1]["stop_reason"])
         summary = (out / "optimized_summary.txt").read_text()
         eta_line = next(line for line in summary.splitlines()
                         if line.startswith("eta_max: "))

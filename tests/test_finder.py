@@ -1,9 +1,11 @@
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
 
+import lrbench.finder
 from conftest import QUAD_CURVATURE, quadratic_model, quadratic_problem
 from lrbench.finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
                             _ema_update, ramp_lr, range_test, suggest_lr,
@@ -202,6 +204,29 @@ class TestRangeTest:
                            batch_size=2)
         assert len(trace.steps) == 30
 
+    @pytest.mark.parametrize("n, batch_size", [(6, 32), (5, 8), (7, 3)])
+    def test_every_step_gets_a_full_batch(self, monkeypatch, n, batch_size):
+        # the shuffled pass repeats end to end, also within one batch when
+        # the batch is larger than the data
+        real_step = lrbench.finder.train_step
+        batches = []
+
+        def spied_step(model, xb, yb, lr):
+            batches.append(xb[:, 0].astype(int))
+            return real_step(model, xb, yb, lr)
+
+        monkeypatch.setattr(lrbench.finder, "train_step", spied_step)
+        x = np.arange(n, dtype=np.float64)[:, None]
+        model = Model([Dense(1, 2, dtype=np.float64)], dtype=np.float64)
+        cfg = RangeTestConfig(lr_lo=1e-6, lr_hi=1e-5, n_steps=10)
+        trace = range_test(model, (x, np.zeros(n, dtype=int)), cfg,
+                           rng_seed=0, batch_size=batch_size)
+        assert len(trace.steps) == 10
+        assert [len(b) for b in batches] == [batch_size] * 10
+        stream = np.concatenate(batches)
+        assert sorted(stream[:n]) == list(range(n))
+        np.testing.assert_array_equal(stream, np.resize(stream[:n], len(stream)))
+
 
 class TestSuggestLr:
     def test_monotone_increasing_raises(self):
@@ -278,8 +303,27 @@ def test_trace_csv_format():
     buf = io.StringIO()
     write_trace_csv(trace, buf)
     lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "step,lr,raw_loss,smoothed_loss"
+    assert lines[0] == "step,lr,raw_loss,smoothed_loss,stop_reason"
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[1]) == 1e-3
     assert float(first[2]) == 1.5
+    assert first[4] == "completed"
+
+
+def test_trace_csv_gives_back_the_suggestion():
+    # diverged: suggest_lr drops the last step and the TAIL_EXCLUDE steps
+    # before it, which skips the steepest drop here; only a file that
+    # carries the stop reason gives back the same suggestion
+    lrs = [float(lr) for lr in np.logspace(-4, 0, 9)]
+    trace = make_trace(lrs, [3.0, 2.75, 2.5, 2.25, 2.0, 0.5, 0.25, 1.5,
+                             math.inf], reason="diverged")
+    buf = io.StringIO()
+    write_trace_csv(trace, buf)
+    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    parsed = LRFinderTrace(
+        [(float(r["lr"]), float(r["raw_loss"]), float(r["smoothed_loss"]))
+         for r in rows], rows[-1]["stop_reason"])
+    assert parsed == trace
+    assert suggest_lr(parsed) == suggest_lr(trace) == lrs[1]
+    assert suggest_lr(LRFinderTrace(parsed.steps, "completed")) == lrs[5]

@@ -434,23 +434,6 @@ class TestDeterminismAndState:
 
         assert run() == run()
 
-    def test_clone_and_load_state_round_trip(self):
-        model = build_mlp((2, 4, 4), 3, dtype=np.float64, seed=0)
-        rng = np.random.default_rng(0)
-        x = rng.random((8, 2, 4, 4))
-        y = rng.integers(0, 3, size=8)
-        train_step(model, x, y, 0.1, momentum=0.9)
-        snap = model.clone_state()
-        loss_ref = train_step(model, x, y, 0.1, momentum=0.9)
-        model.load_state(snap)
-        assert train_step(model, x, y, 0.1, momentum=0.9) == loss_ref
-
-    def test_load_state_shape_mismatch(self):
-        a = build_mlp((2, 4, 4), 3, seed=0)
-        b = Model([Dense(4, 2)], dtype=np.float32)
-        with pytest.raises(ShapeError):
-            b.load_state(a.clone_state())
-
     def test_frozen_params_survive_long_training(self):
         # the layers above the first Dense train as a view sharing its
         # parameters; the first Dense, outside that view, stays fixed

@@ -126,13 +126,12 @@ class TestTrainPhase:
     def test_learns_separable_blobs(self):
         model, ds = blob_setup()
         cfg = TrainConfig(batch_size=16, seed=0)
-        acc, epochs, reached = train_phase(
+        result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
             phase_name="p", phase_index=1, lr_fn=lambda t: 0.05, cfg=cfg,
             max_epochs=5)
-        assert epochs == 5
-        assert not reached
-        assert acc > 0.9
+        assert result.epochs_run == 5
+        assert result.final_valid_acc > 0.9
 
     def test_deterministic_given_config(self):
         histories = []
@@ -150,24 +149,59 @@ class TestTrainPhase:
     def test_target_accuracy_ends_phase(self):
         model, ds = blob_setup()
         cfg = TrainConfig(batch_size=16, seed=0)
-        acc, epochs, reached = train_phase(
+        result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
             phase_name="p", phase_index=1, lr_fn=lambda t: 0.05, cfg=cfg,
             max_epochs=50, target_accuracy=0.95)
-        assert reached
-        assert epochs < 50
-        assert acc >= 0.95
+        assert result.epochs_run < 50
+        assert result.final_valid_acc >= 0.95
 
     def test_stopper_ends_stalled_phase(self):
         model, ds = blob_setup()
         cfg = TrainConfig(batch_size=16, seed=0)
         # zero learning rate: accuracy never moves after the first epoch
-        acc, epochs, reached = train_phase(
+        result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
             phase_name="p", phase_index=1, lr_fn=lambda t: 0.0, cfg=cfg,
-            max_epochs=50, stopper=EarlyStopState(patience=1))
-        assert epochs == 3  # first improves, then patience+1 plateaus
-        assert not reached
+            max_epochs=50, target_accuracy=0.95,
+            stopper=EarlyStopState(patience=1))
+        assert result.epochs_run == 3  # first improves, then patience+1 plateaus
+        assert result.final_valid_acc < 0.95
+
+    def test_result_matches_history(self):
+        model, ds = blob_setup()
+        cfg = TrainConfig(batch_size=16, seed=0)
+        history = []
+        train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
+                    phase_name="warm", phase_index=1, lr_fn=lambda t: 0.01,
+                    cfg=cfg, max_epochs=2, history=history)
+        result = train_phase(
+            model, ds.images, ds.labels, ds.images, ds.labels,
+            phase_name="p", phase_index=2, lr_fn=lambda t: 0.05, cfg=cfg,
+            max_epochs=50, target_accuracy=0.95, history=history)
+        rows = history[2:]
+        assert result.name == "p"
+        assert result.epochs_run == len(rows) > 0
+        assert result.final_valid_acc == rows[-1].valid_acc
+        assert result.wall_seconds >= sum(r.seconds for r in rows)
+
+    def test_phase_starts_from_rest(self):
+        # momentum left over from earlier steps does not carry into a phase
+        histories = []
+        for leftover in (False, True):
+            model, ds = blob_setup(seed=4)
+            if leftover:
+                for layer in model.param_layers():
+                    for v in layer.vel:
+                        v[...] = 0.5
+            cfg = TrainConfig(batch_size=16, seed=4)
+            history = []
+            train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
+                        phase_name="p", phase_index=1, lr_fn=lambda t: 0.02,
+                        cfg=cfg, max_epochs=2, history=history)
+            histories.append([(r.train_loss, r.valid_loss, r.valid_acc)
+                              for r in history])
+        assert histories[0] == histories[1]
 
     def test_iteration_counter_runs_from_zero_across_epochs(self):
         model, ds = blob_setup(n_per_class=10)  # 30 samples
