@@ -9,7 +9,8 @@ baseline against the optimized pipeline.
 
 from .bench import (BenchConfig, RunReport, confusion, emit_report,
                     run_conventional, run_optimized, speedup)
-from .data import Dataset, augment, load_cifar10, make_blobs, normalize, split
+from .data import (Dataset, augment_batch, load_cifar10, make_blobs,
+                   normalize, split)
 from .errors import ConfigError, DataError, LRBenchError
 from .finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
                      range_test, suggest_lr)
@@ -24,7 +25,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchConfig", "PhaseResult", "RunReport", "confusion", "emit_report",
     "run_conventional", "run_optimized", "speedup",
-    "Dataset", "augment", "load_cifar10", "make_blobs", "normalize", "split",
+    "Dataset", "augment_batch", "load_cifar10", "make_blobs", "normalize",
+    "split",
     "ConfigError", "DataError", "LRBenchError",
     "LRFinderTrace", "NoDescentFound", "RangeTestConfig", "range_test",
     "suggest_lr",

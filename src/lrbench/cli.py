@@ -107,8 +107,11 @@ def cmd_train(args) -> None:
                            cfg.target_accuracy)
     for path in emit_report(report, _out_dir(args)):
         print(f"wrote {path}")
+    outcome = ("target reached" if report.reached
+               else "target missed" if phase.epochs_run == cfg.train.max_epochs
+               else "stopped early")
     print(f"valid_acc: {phase.final_valid_acc:.4f} after {phase.epochs_run} "
-          f"epochs ({'target reached' if report.reached else 'stopped early'})")
+          f"epochs ({outcome})")
 
 
 def cmd_benchmark(args) -> None:

@@ -17,7 +17,6 @@ __all__ = [
     "CIFAR10_STD",
     "CIFAR10_CLASSES",
     "normalize",
-    "augment",
     "augment_batch",
     "load_cifar10",
     "split",
@@ -69,27 +68,36 @@ def normalize(images: np.ndarray, mean, std) -> np.ndarray:
     return (images - mean[None, :, None, None]) / std[None, :, None, None]
 
 
-def augment(image: np.ndarray, rng: np.random.Generator, pad: int = 4) -> np.ndarray:
+def augment_batch(images: np.ndarray, rng: np.random.Generator,
+                  pad: int = 4) -> np.ndarray:
     """Random horizontal flip (p=0.5), vertical flip (p=0.5), then a random
-    crop from ``pad``-pixel zero padding back to the original size.
+    crop from ``pad``-pixel zero padding back to the original size, for each
+    image of an (n, c, h, w) batch.
 
-    Draw order is fixed (hflip, vflip, then both crop offsets in one call) so
-    a given generator state always produces the same output.
+    The batch takes two draws: an (n, 2) uniform draw gives each image its
+    (hflip, vflip), then an (n, 2) integer draw in [0, 2 * pad] its (row,
+    col) crop offset in padded coordinates. A given generator state always
+    gives the same output.
     """
-    c, h, w = image.shape
-    out = image
-    if rng.random() < 0.5:
-        out = out[:, :, ::-1]
-    if rng.random() < 0.5:
-        out = out[:, ::-1, :]
-    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=image.dtype)
-    padded[:, pad:pad + h, pad:pad + w] = out
-    oy, ox = rng.integers(0, 2 * pad + 1, size=2)
-    return padded[:, oy:oy + h, ox:ox + w].copy()
-
-
-def augment_batch(images: np.ndarray, rng: np.random.Generator, pad: int = 4) -> np.ndarray:
-    return np.stack([augment(img, rng, pad) for img in images])
+    n, c, h, w = images.shape
+    flips = (rng.random((n, 2)) < 0.5).tolist()
+    offsets = rng.integers(0, 2 * pad + 1, size=(n, 2)).tolist()
+    out = np.zeros(images.shape, dtype=images.dtype)
+    for i, ((hflip, vflip), (oy, ox)) in enumerate(zip(flips, offsets)):
+        # the crop window [oy, oy + h) x [ox, ox + w) of the padded image
+        # overlaps the image at [y0, y1) x [x0, x1), or not at all when the
+        # padding is at least as wide as the image
+        y0, y1 = max(oy, pad), min(oy + h, pad + h)
+        x0, x1 = max(ox, pad), min(ox + w, pad + w)
+        if y0 < y1 and x0 < x1:
+            img = images[i]
+            if hflip:
+                img = img[:, :, ::-1]
+            if vflip:
+                img = img[:, ::-1, :]
+            out[i, :, y0 - oy:y1 - oy, x0 - ox:x1 - ox] = \
+                img[:, y0 - pad:y1 - pad, x0 - pad:x1 - pad]
+    return out
 
 
 def load_cifar10(path, n_per_class: int) -> Dataset:

@@ -229,6 +229,23 @@ class TestTrainCommand:
         stdout = capsys.readouterr().out
         assert "valid_acc:" in stdout
 
+    @pytest.mark.parametrize("patience,outcome", [
+        (10, "after 3 epochs (target missed)"),
+        (0, "after 2 epochs (stopped early)"),
+    ])
+    def test_says_why_a_missed_target_ended(self, tmp_path, capsys,
+                                            patience, outcome):
+        # a rate too small to reach the target; no epoch after the first can
+        # beat the stopper's best by min_delta, so patience 0 stops at the
+        # second epoch and patience 10 spends the 3-epoch budget
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("blobs_per_class = 20\nmax_epochs = 3\n"
+                       f"patience = {patience}\neta_max = 0.0001\n"
+                       "min_delta = 1.0\ntarget_accuracy = 0.99\n")
+        assert run(["train", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(outcome)
+
 
 class TestBenchmarkCommand:
     def test_writes_both_report_sets(self, tmp_path, tiny_config_file, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lrbench.data import (CIFAR10_CLASSES, Dataset, augment, augment_batch,
+from lrbench.data import (CIFAR10_CLASSES, Dataset, augment_batch,
                           load_cifar10, make_blobs, normalize, split)
 from lrbench.errors import DataError
 
@@ -68,58 +68,116 @@ class TestNormalize:
             normalize(np.zeros((1, 3, 2, 2)), (0, 0, 0), (1, 0, 1))
 
 
+def augment_oracle(image, hflip, vflip, oy, ox, pad=4):
+    """The per-image recipe augment_batch must reproduce: hflip, then vflip,
+    then the (oy, ox) crop of the zero-padded image."""
+    c, h, w = image.shape
+    out = image
+    if hflip:
+        out = out[:, :, ::-1]
+    if vflip:
+        out = out[:, ::-1, :]
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=image.dtype)
+    padded[:, pad:pad + h, pad:pad + w] = out
+    return padded[:, oy:oy + h, ox:ox + w]
+
+
+def drawn_augmentations(n, seed, pad=4):
+    """The (hflip, vflip) and (oy, ox) that augment_batch draws for an
+    n-image batch from default_rng(seed). Draw order is part of its
+    contract."""
+    rng = np.random.default_rng(seed)
+    flips = rng.random((n, 2)) < 0.5
+    offsets = rng.integers(0, 2 * pad + 1, size=(n, 2))
+    return flips.tolist(), offsets.tolist()
+
+
 def find_augment_seed(want_hflip, want_vflip, pad=4):
-    """Search for a seed whose first draws give the requested flips and a
-    centered crop. Draw order is part of augment's contract."""
+    """Search for a seed whose one-image draw gives the requested flips and a
+    centered crop."""
     for seed in range(2000):
-        rng = np.random.default_rng(seed)
-        hflip = rng.random() < 0.5
-        vflip = rng.random() < 0.5
-        oy, ox = rng.integers(0, 2 * pad + 1, size=2)
-        if hflip == want_hflip and vflip == want_vflip and (oy, ox) == (pad, pad):
+        flips, offsets = drawn_augmentations(1, seed, pad)
+        if flips[0] == [want_hflip, want_vflip] and offsets[0] == [pad, pad]:
             return seed
-    raise AssertionError("no seed found; augment draw order changed?")
+    raise AssertionError("no seed found; augment_batch draw order changed?")
 
 
 class TestAugment:
     def test_identity_when_no_flip_centered_crop(self):
         seed = find_augment_seed(want_hflip=False, want_vflip=False)
-        img = np.random.default_rng(3).random((3, 8, 8)).astype(np.float32)
-        out = augment(img, np.random.default_rng(seed))
-        np.testing.assert_array_equal(out, img)
+        imgs = np.random.default_rng(3).random((1, 3, 8, 8)).astype(np.float32)
+        out = augment_batch(imgs, np.random.default_rng(seed))
+        np.testing.assert_array_equal(out, imgs)
 
     def test_hflip_when_drawn(self):
         seed = find_augment_seed(want_hflip=True, want_vflip=False)
-        img = np.random.default_rng(4).random((3, 8, 8)).astype(np.float32)
-        out = augment(img, np.random.default_rng(seed))
-        np.testing.assert_array_equal(out, img[:, :, ::-1])
+        imgs = np.random.default_rng(4).random((1, 3, 8, 8)).astype(np.float32)
+        out = augment_batch(imgs, np.random.default_rng(seed))
+        np.testing.assert_array_equal(out, imgs[:, :, :, ::-1])
+
+    def test_vflip_when_drawn(self):
+        seed = find_augment_seed(want_hflip=False, want_vflip=True)
+        imgs = np.random.default_rng(4).random((1, 3, 8, 8)).astype(np.float32)
+        out = augment_batch(imgs, np.random.default_rng(seed))
+        np.testing.assert_array_equal(out, imgs[:, :, ::-1, :])
 
     def test_shape_and_dtype_preserved(self):
-        img = np.random.default_rng(5).random((3, 10, 12)).astype(np.float32)
-        out = augment(img, np.random.default_rng(0))
-        assert out.shape == img.shape
-        assert out.dtype == img.dtype
+        for dtype in (np.float32, np.float64):
+            imgs = np.random.default_rng(5).random((5, 3, 10, 12)).astype(dtype)
+            # a strided view in, a fresh C-contiguous batch out
+            out = augment_batch(imgs[:, :, ::-1], np.random.default_rng(0))
+            assert out.shape == imgs.shape
+            assert out.dtype == dtype
+            assert out.flags.c_contiguous
 
     def test_deterministic_for_same_generator_state(self):
-        img = np.random.default_rng(6).random((3, 8, 8))
-        a = augment(img, np.random.default_rng(42))
-        b = augment(img, np.random.default_rng(42))
+        imgs = np.random.default_rng(6).random((4, 3, 8, 8))
+        a = augment_batch(imgs, np.random.default_rng(42))
+        b = augment_batch(imgs, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
     def test_pixels_come_from_image_or_padding(self):
-        # every output pixel is either zero padding or some input pixel
-        img = (np.random.default_rng(7).random((1, 6, 6)) + 1.0)
-        out = augment(img, np.random.default_rng(11))
-        values = set(np.round(img.ravel(), 12)) | {0.0}
-        assert set(np.round(out.ravel(), 12)) <= values
+        # every output pixel is either zero padding or a pixel of its own
+        # input image
+        imgs = np.random.default_rng(7).random((6, 1, 6, 6)) + 1.0
+        out = augment_batch(imgs, np.random.default_rng(11))
+        for img, got in zip(imgs, out):
+            assert set(got.ravel()) <= set(img.ravel()) | {0.0}
 
-    def test_batch_matches_sequential_draws(self):
-        imgs = np.random.default_rng(8).random((4, 3, 8, 8))
-        rng = np.random.default_rng(9)
-        batch = augment_batch(imgs, rng)
-        rng2 = np.random.default_rng(9)
-        singles = np.stack([augment(img, rng2) for img in imgs])
-        np.testing.assert_array_equal(batch, singles)
+    def test_seeded_batch_is_pinned(self):
+        # default_rng(1) draws (hflip, vflip) = (0, 0), (1, 0), (1, 1),
+        # (0, 1) and padded-crop offsets (1, 1), (0, 0), (2, 2), (2, 1)
+        imgs = np.arange(1, 37, dtype=np.float32).reshape(4, 1, 3, 3)
+        out = augment_batch(imgs, np.random.default_rng(1), pad=1)
+        expected = np.array([
+            [[[1, 2, 3], [4, 5, 6], [7, 8, 9]]],
+            [[[0, 0, 0], [0, 12, 11], [0, 15, 14]]],
+            [[[23, 22, 0], [20, 19, 0], [0, 0, 0]]],
+            [[[31, 32, 33], [28, 29, 30], [0, 0, 0]]],
+        ], dtype=np.float32)
+        np.testing.assert_array_equal(out, expected)
+
+    @pytest.mark.parametrize("shape,pad", [((8, 3, 8, 8), 4), ((16, 3, 5, 7), 2),
+                                           ((12, 2, 4, 4), 0)])
+    def test_matches_the_per_image_recipe(self, shape, pad):
+        imgs = np.random.default_rng(8).random(shape).astype(np.float32)
+        out = augment_batch(imgs, np.random.default_rng(9), pad=pad)
+        flips, offsets = drawn_augmentations(len(imgs), 9, pad)
+        expected = np.stack([augment_oracle(img, *f, *o, pad=pad)
+                             for img, f, o in zip(imgs, flips, offsets)])
+        np.testing.assert_array_equal(out, expected)
+
+    def test_crops_past_the_image_are_zero(self):
+        # at pad 4 a 2x2 image covers padded rows and columns 4-5, so any
+        # offset below 3 or above 5 crops padding alone
+        imgs = np.random.default_rng(10).random((64, 2, 2, 2)) + 1.0
+        out = augment_batch(imgs, np.random.default_rng(12), pad=4)
+        flips, offsets = drawn_augmentations(len(imgs), 12, pad=4)
+        blank = [not (3 <= oy <= 5 and 3 <= ox <= 5) for oy, ox in offsets]
+        assert 0 < sum(blank) < len(imgs)
+        for img, got, f, o, empty in zip(imgs, out, flips, offsets, blank):
+            np.testing.assert_array_equal(got, augment_oracle(img, *f, *o, pad=4))
+            assert (not got.any()) == empty
 
 
 class TestSplit:

@@ -1,4 +1,5 @@
-"""Property tests for the schedule, the stratified split and config parsing."""
+"""Property tests for the schedule, the stratified split, batch augmentation
+and config parsing."""
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lrbench.bench import BenchConfig
 from lrbench.config import CONFIG_KEYS, build_bench_config, parse_config_file
-from lrbench.data import Dataset, split
+from lrbench.data import Dataset, augment_batch, split
 from lrbench.errors import DataError
 from lrbench.finder import RangeTestConfig
 from lrbench.groups import LayerGroupRates
 from lrbench.schedule import CosineCycleConfig, lr_at
 from lrbench.train import TrainConfig
+from test_data import augment_oracle
 from test_schedule import oracle_lr
 
 PROPERTY = settings(deadline=None, max_examples=60)
@@ -70,6 +72,26 @@ class TestSplitProperties:
         assert np.array_equal(tr.labels, labels[tr_rows])
         assert np.array_equal(va.labels, labels[va_rows])
         assert np.bincount(tr.labels, minlength=len(sizes)).tolist() == n_train
+
+
+class TestAugmentBatchProperties:
+    @PROPERTY
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 10),
+           st.integers(1, 10), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_each_image_is_one_flip_and_crop_of_its_input(self, n, c, h, w,
+                                                          pad, seed):
+        # distinct positive pixels, so that a pixel taken from the wrong
+        # place matches no candidate and the zero padding stands out
+        images = np.arange(1, n * c * h * w + 1, dtype=np.float64).reshape(
+            n, c, h, w)
+        out = augment_batch(images, np.random.default_rng(seed), pad=pad)
+        assert out.shape == images.shape
+        offsets = range(2 * pad + 1)
+        draws = [(hf, vf, oy, ox) for hf in (False, True)
+                 for vf in (False, True) for oy in offsets for ox in offsets]
+        for img, got in zip(images, out):
+            assert any(np.array_equal(got, augment_oracle(img, *d, pad=pad))
+                       for d in draws)
 
 
 @st.composite

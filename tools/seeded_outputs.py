@@ -15,7 +15,8 @@ thread, as in the benchmark, so that float sums do not depend on the host.
 
 The second form prints, per workload, how many seed/pipeline reports
 differ, and for each one which fields differ, with eta_max, epochs and
-reached on both sides. It exits 1 when any report differs.
+reached on both sides, and the epoch and phase of the first history row that
+differs. It exits 1 when any report differs.
 """
 
 from __future__ import annotations
@@ -82,6 +83,19 @@ def dump(src_dir: Path, out_path: Path) -> None:
         json.dump(outputs, fh)
 
 
+def first_history_difference(before: dict, after: dict) -> str:
+    """Where the two histories part: the epoch and phase of the first row
+    that differs, or of the first row only one side has."""
+    rows_a, rows_b = before["history"], after["history"]
+    for a, b in zip(rows_a, rows_b):
+        if json.dumps(a) != json.dumps(b):
+            return f"; history first differs at epoch {a[0]} ({a[1]})"
+    if len(rows_a) == len(rows_b):
+        return ""
+    row = max(rows_a, rows_b, key=len)[min(len(rows_a), len(rows_b))]
+    return f"; history first differs at epoch {row[0]} ({row[1]}, one side only)"
+
+
 def compare(before_path: Path, after_path: Path) -> int:
     with open(before_path) as fh:
         before = json.load(fh)
@@ -109,7 +123,8 @@ def compare(before_path: Path, after_path: Path) -> int:
                 sides.append(f"eta_max {out['eta_max']!r}, {epochs} epochs, "
                              f"reached {out['reached']}")
             print(f"  {key}: {', '.join(fields)}; "
-                  f"before {sides[0]}; after {sides[1]}")
+                  f"before {sides[0]}; after {sides[1]}"
+                  f"{first_history_difference(before[key], after[key])}")
     return 1 if any(differ.values()) else 0
 
 
