@@ -34,7 +34,7 @@ from .finder import (LRFinderTrace, RangeTestConfig, range_test, suggest_lr,
                      write_trace_csv)
 from .groups import (LayerGroupRates, group_lr_at, head_model,
                      precompute_features)
-from .nn import Model, build_cnn, build_mlp, forward
+from .nn import Model, build_cnn, build_mlp, predict
 from .schedule import CosineCycleConfig, lr_at
 from .train import (EarlyStopState, EpochRecord, PhaseResult, TrainConfig,
                     batches_per_epoch, evaluate, train_phase)
@@ -89,6 +89,8 @@ class BenchConfig:
             raise ConfigError("patience and min_delta must be >= 0")
         if self.finder_batch is not None and self.finder_batch < 1:
             raise ConfigError(f"finder_batch must be >= 1, got {self.finder_batch}")
+        if self.blobs_noise < 0:
+            raise ConfigError(f"blobs_noise must be >= 0, got {self.blobs_noise}")
         if self.split_num < 1 or self.split_den < 1:
             raise ConfigError("split ratio parts must be >= 1")
 
@@ -137,12 +139,8 @@ def build_model(cfg: BenchConfig, input_shape: tuple, n_classes: int) -> Model:
                    seed=cfg.train.seed)
 
 
-def predictions(model: Model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    preds = []
-    for start in range(0, len(x), batch_size):
-        logits, _ = forward(model, x[start:start + batch_size])
-        preds.append(np.argmax(logits, axis=1))
-    return np.concatenate(preds)
+def predictions(model: Model, x: np.ndarray) -> np.ndarray:
+    return np.argmax(predict(model, x), axis=1)
 
 
 def run_range_test(cfg: BenchConfig, model: Model, features: np.ndarray,
@@ -211,8 +209,8 @@ def run_conventional(cfg: BenchConfig,
     fixed_lr1 = train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
         phase_name="fixed_lr1", phase_index=1, lr_fn=lambda t: cfg.lr1,
-        cfg=train_cfg, max_epochs=cfg.train.max_epochs,
-        stopper=EarlyStopState(cfg.patience, cfg.min_delta), history=history)
+        cfg=train_cfg, stopper=EarlyStopState(cfg.patience, cfg.min_delta),
+        history=history)
     if fixed_lr1.final_valid_acc >= cfg.target_accuracy:
         fixed_lr2 = PhaseResult("fixed_lr2", 0, fixed_lr1.final_valid_acc, 0.0)
     else:
@@ -220,7 +218,6 @@ def run_conventional(cfg: BenchConfig,
             model, train_ds.images, train_ds.labels, valid_ds.images,
             valid_ds.labels, phase_name="fixed_lr2", phase_index=2,
             lr_fn=lambda t: cfg.lr2, cfg=train_cfg,
-            max_epochs=cfg.train.max_epochs,
             stopper=EarlyStopState(cfg.patience, cfg.min_delta),
             target_accuracy=cfg.target_accuracy, history=history)
     return finish_report(model, valid_ds, [fixed_lr1, fixed_lr2], history,
@@ -263,7 +260,7 @@ def run_optimized(cfg: BenchConfig,
         head, train_feats, train_ds.labels, valid_feats, valid_ds.labels,
         phase_name="head_sgdr", phase_index=2,
         lr_fn=lambda t: lr_at(t, sched2),
-        cfg=replace(cfg.train, augment=False), max_epochs=cfg.head_epochs,
+        cfg=replace(cfg.train, augment=False, max_epochs=cfg.head_epochs),
         stopper=EarlyStopState(cfg.patience, cfg.min_delta),
         target_accuracy=cfg.target_accuracy, history=history)
     if head_sgdr.final_valid_acc >= cfg.target_accuracy:
@@ -273,8 +270,7 @@ def run_optimized(cfg: BenchConfig,
             model, train_ds.images, train_ds.labels, valid_ds.images,
             valid_ds.labels, phase_name="dlr_clm", phase_index=3,
             lr_fn=lambda t: group_lr_at(t, cfg.rates, cfg.sched),
-            cfg=cfg.train, max_epochs=cfg.train.max_epochs,
-            stopper=EarlyStopState(cfg.patience, cfg.min_delta),
+            cfg=cfg.train, stopper=EarlyStopState(cfg.patience, cfg.min_delta),
             target_accuracy=cfg.target_accuracy, history=history)
     return finish_report(model, valid_ds, [range_phase, head_sgdr, dlr_clm],
                          history, cfg.target_accuracy, eta_max, trace)

@@ -100,7 +100,6 @@ def cmd_train(args) -> None:
         model, train_ds.images, train_ds.labels, valid_ds.images,
         valid_ds.labels, phase_name="sgdr", phase_index=1,
         lr_fn=lambda t: lr_at(t, cfg.sched), cfg=cfg.train,
-        max_epochs=cfg.train.max_epochs,
         stopper=EarlyStopState(cfg.patience, cfg.min_delta),
         target_accuracy=cfg.target_accuracy, history=history)
     report = finish_report(model, valid_ds, [phase], history,

@@ -7,6 +7,7 @@ loudly instead of silently training with defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 from .bench import BenchConfig
@@ -29,6 +30,13 @@ def _bool(value) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {value!r}")
+    return number
+
+
 # key -> (caster, destination, field). The destination is the BenchConfig
 # part that receives the value ("train", "sched", "rates", "finder") or
 # "bench" for a BenchConfig field; this doubles as the list of documented
@@ -39,31 +47,31 @@ _SCHEMA = {
     "precision": (str, "train", "precision"),
     "seed": (int, "train", "seed"),
     "batch_size": (int, "train", "batch_size"),
-    "momentum": (float, "train", "momentum"),
-    "weight_decay": (float, "train", "weight_decay"),
+    "momentum": (_finite, "train", "momentum"),
+    "weight_decay": (_finite, "train", "weight_decay"),
     "max_epochs": (int, "train", "max_epochs"),
     "augment": (_bool, "train", "augment"),
-    "eta_max": (float, "sched", "eta_max"),
-    "eta_min": (float, "sched", "eta_min"),
+    "eta_max": (_finite, "sched", "eta_max"),
+    "eta_min": (_finite, "sched", "eta_min"),
     "t0": (int, "sched", "t0"),
     "mult": (int, "sched", "mult"),
-    "rate_initial": (float, "rates", "initial"),
-    "rate_mid": (float, "rates", "mid"),
-    "rate_final": (float, "rates", "final"),
-    "finder_lo": (float, "finder", "lr_lo"),
-    "finder_hi": (float, "finder", "lr_hi"),
+    "rate_initial": (_finite, "rates", "initial"),
+    "rate_mid": (_finite, "rates", "mid"),
+    "rate_final": (_finite, "rates", "final"),
+    "finder_lo": (_finite, "finder", "lr_lo"),
+    "finder_hi": (_finite, "finder", "lr_hi"),
     "finder_steps": (int, "finder", "n_steps"),
-    "finder_beta": (float, "finder", "smoothing_beta"),
-    "finder_divergence": (float, "finder", "divergence_factor"),
+    "finder_beta": (_finite, "finder", "smoothing_beta"),
+    "finder_divergence": (_finite, "finder", "divergence_factor"),
     "finder_batch": (int, "bench", "finder_batch"),
-    "target_accuracy": (float, "bench", "target_accuracy"),
-    "lr1": (float, "bench", "lr1"),
-    "lr2": (float, "bench", "lr2"),
+    "target_accuracy": (_finite, "bench", "target_accuracy"),
+    "lr1": (_finite, "bench", "lr1"),
+    "lr2": (_finite, "bench", "lr2"),
     "head_epochs": (int, "bench", "head_epochs"),
     "patience": (int, "bench", "patience"),
-    "min_delta": (float, "bench", "min_delta"),
+    "min_delta": (_finite, "bench", "min_delta"),
     "blobs_per_class": (int, "bench", "blobs_per_class"),
-    "blobs_noise": (float, "bench", "blobs_noise"),
+    "blobs_noise": (_finite, "bench", "blobs_noise"),
     "n_per_class": (int, "bench", "n_per_class"),
     "split_num": (int, "bench", "split_num"),
     "split_den": (int, "bench", "split_den"),

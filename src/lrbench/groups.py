@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn import Model
+from .nn import Model, predict
 from .schedule import CosineCycleConfig, lr_at
 
 __all__ = [
@@ -57,7 +57,7 @@ def head_model(model: Model) -> Model:
                  loss=model.loss)
 
 
-def precompute_features(model: Model, images, batch_size: int = 256) -> np.ndarray:
+def precompute_features(model: Model, images) -> np.ndarray:
     """One deterministic pass of ``images`` through the body (every layer
     below the final group); returns the final group's input activations,
     one f32 row per image.
@@ -65,25 +65,16 @@ def precompute_features(model: Model, images, batch_size: int = 256) -> np.ndarr
     No augmentation happens here. The features hold while the body does not
     change, as when only head_model(model) trains on them. In f32 mode, head
     logits computed from them are bit-identical to full forward passes.
-    Raises FloatingPointError on non-finite activations, including float64
-    activations that overflow the f32 cast.
+    Raises FloatingPointError on non-finite features, including float64
+    activations that overflow the f32 cast; a non-finite activation in any
+    body layer carries through to them.
     """
-    body = model.layers[:_head_start(model)]
-    images = np.asarray(images)
-    rows = []
-    for start in range(0, len(images), batch_size):
-        out = np.asarray(images[start:start + batch_size], dtype=model.dtype)
-        for layer in body:
-            out, _ = layer.forward(out)
-            if not np.isfinite(out).all():
-                raise FloatingPointError(
-                    f"non-finite activations out of layer {layer.name}"
-                )
-        with np.errstate(over="ignore"):
-            rows.append(out.reshape(len(out), -1).astype(np.float32))
-    features = np.concatenate(rows, axis=0)
+    body = Model(model.layers[:_head_start(model)], dtype=model.dtype)
+    out = predict(body, images)
+    with np.errstate(over="ignore"):
+        features = out.reshape(len(out), -1).astype(np.float32)
     if not np.isfinite(features).all():
-        raise FloatingPointError("non-finite activations after the f32 cast")
+        raise FloatingPointError("non-finite cached features")
     return features
 
 

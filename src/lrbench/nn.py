@@ -26,6 +26,7 @@ __all__ = [
     "ShapeError",
     "NonFiniteLossError",
     "forward",
+    "predict",
     "backward",
     "sgd_step",
     "train_step",
@@ -99,7 +100,7 @@ class Dense(Layer):
 
 
 # Input rows per im2col block in Conv2d.forward: the columns are k*k times
-# the input, and evaluate and precompute_features pass up to 256 rows.
+# the input, and predict passes up to 256 rows.
 _CONV_BLOCK_ROWS = 16
 
 
@@ -279,6 +280,13 @@ def forward(model: Model, batch: np.ndarray):
     return x, caches
 
 
+def predict(model: Model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    """The model's outputs for every row of ``x``, computed by forward over
+    batch_size rows at a time so no cache outlives its batch."""
+    return np.concatenate([forward(model, x[start:start + batch_size])[0]
+                           for start in range(0, len(x), batch_size)])
+
+
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Check integer labels against the logits; returns (labels, log-softmax,
     mean cross-entropy)."""
@@ -318,17 +326,15 @@ def _loss_and_grad(model: Model, logits: np.ndarray, labels: np.ndarray):
     return loss, grad.astype(model.dtype, copy=False)
 
 
-def backward(model: Model, logits: np.ndarray, labels: np.ndarray, caches,
-             weight_decay: float = 0.0) -> float:
+def backward(model: Model, logits: np.ndarray, labels: np.ndarray,
+             caches) -> float:
     """Write each parameterized layer's gradients once, with the exact
-    gradient of mean loss + (weight_decay/2) * ||params||^2; returns that
-    value. Every parameter trains: to keep layers fixed, pass a model that
-    leaves them out, as the head phase does with groups.head_model.
+    gradient of the mean loss; returns that loss. Weight decay enters in
+    sgd_step. Every parameter trains: to keep layers fixed, pass a model
+    that leaves them out, as the head phase does with groups.head_model.
 
     Nothing below the lowest parameterized layer's weights is computed: that
     layer returns no input gradient and the layers under it are not called.
-    When a training loop applies weight decay here it must not apply it
-    again in sgd_step.
     """
     loss, grad = _loss_and_grad(model, logits, labels)
     if not math.isfinite(loss):
@@ -341,12 +347,6 @@ def backward(model: Model, logits: np.ndarray, labels: np.ndarray, caches,
             grad = model.layers[i].backward(grad, caches[i])
         model.layers[lowest].backward(grad, caches[lowest],
                                       need_input_grad=False)
-
-    if weight_decay:
-        for layer in model.param_layers():
-            for p, g in zip(layer.params, layer.grads):
-                loss += 0.5 * weight_decay * float(np.sum(p.astype(np.float64) ** 2))
-                g += weight_decay * p
     return loss
 
 
@@ -357,8 +357,7 @@ def sgd_step(model: Model, lr, momentum: float = 0.0,
 
     ``lr`` is a scalar for every layer or an (initial, mid, final) tuple
     applied over model.param_groups(); anything else raises ValueError.
-    Weight decay is coupled (added to the gradient); pass it either here or
-    to backward, not both.
+    Weight decay is coupled (added to the gradient).
     """
     if isinstance(lr, (int, float, np.floating)):
         steps = [(float(lr), model.param_layers())]

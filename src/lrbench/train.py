@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import augment_batch
 from .errors import ConfigError
-from .nn import DTYPES, Model, forward, softmax_cross_entropy, train_step
+from .nn import DTYPES, Model, predict, softmax_cross_entropy, train_step
 
 __all__ = [
     "TrainConfig",
@@ -96,19 +96,11 @@ def iterate_minibatches(n_samples: int, batch_size: int, rng: np.random.Generato
         yield order[start:start + batch_size]
 
 
-def evaluate(model: Model, x: np.ndarray, y: np.ndarray,
-             batch_size: int = 256) -> tuple[float, float]:
+def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Mean cross-entropy and accuracy over the whole set, no augmentation."""
-    total_loss = 0.0
-    correct = 0
-    n = len(x)
-    for start in range(0, n, batch_size):
-        xb = x[start:start + batch_size]
-        yb = y[start:start + batch_size]
-        logits, _ = forward(model, xb)
-        total_loss += softmax_cross_entropy(logits, yb) * len(xb)
-        correct += int((np.argmax(logits, axis=1) == yb).sum())
-    return total_loss / n, correct / n
+    logits = predict(model, x)
+    correct = (np.argmax(logits, axis=1) == y).sum()
+    return softmax_cross_entropy(logits, y), int(correct) / len(x)
 
 
 @dataclass
@@ -132,7 +124,7 @@ class PhaseResult:
 
 def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
                 phase_name: str, phase_index: int, lr_fn, cfg: TrainConfig,
-                max_epochs: int, stopper: EarlyStopState | None = None,
+                stopper: EarlyStopState | None = None,
                 target_accuracy: float | None = None,
                 history: list[EpochRecord] | None = None) -> PhaseResult:
     """Run one training phase from rest: the model's velocities are zeroed
@@ -143,17 +135,17 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
     called once per step, and its value at the first step of each epoch (the
     final-group rate when it is a triple) is what lands in the history row,
     whose epoch is its index in ``history``: a phase appending to a history
-    numbers its epochs on from the rows already there. The phase ends at
-    max_epochs, at the stopper's say-so, or as soon as validation accuracy
-    meets target_accuracy, so it met the target exactly when its final
-    accuracy does.
+    numbers its epochs on from the rows already there. The phase ends after
+    cfg.max_epochs epochs, at the stopper's say-so, or as soon as validation
+    accuracy meets target_accuracy, so it met the target exactly when its
+    final accuracy does.
     """
     phase_start = time.perf_counter()
     model.zero_velocity()
     t = 0
     epochs_run = 0
     final_acc = float("nan")
-    for epoch in range(max_epochs):
+    for epoch in range(cfg.max_epochs):
         start_time = time.perf_counter()
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, phase_index, epoch]))

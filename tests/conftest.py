@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lrbench.nn import Dense, Model, backward, forward
+from lrbench.nn import Dense, Model, backward, forward, sgd_step
 
 
 QUAD_CURVATURE = 20.0
@@ -35,9 +35,19 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def penalized_loss(model, x, y, weight_decay=0.0):
+    """Mean data loss + (weight_decay/2) * ||params||^2, in float64."""
+    logits, caches = forward(model, x)
+    loss = backward(model, logits, y, caches)
+    for layer in model.param_layers():
+        for p in layer.params:
+            loss += 0.5 * weight_decay * float(np.sum(p.astype(np.float64) ** 2))
+    return loss
+
+
 def finite_diff_grads(model, x, y, h=1e-5, weight_decay=0.0):
-    """Central-difference gradients for every parameter, one list per
-    parameter array, in the same order as the analytic ones."""
+    """Central-difference gradients of penalized_loss for every parameter,
+    one list per parameter array, in the same order as the analytic ones."""
     out = []
     for layer in model.param_layers():
         for p in layer.params:
@@ -47,22 +57,36 @@ def finite_diff_grads(model, x, y, h=1e-5, weight_decay=0.0):
                 i = it.multi_index
                 saved = p[i]
                 p[i] = saved + h
-                logits, caches = forward(model, x)
-                up = backward(model, logits, y, caches, weight_decay=weight_decay)
+                up = penalized_loss(model, x, y, weight_decay)
                 p[i] = saved - h
-                logits, caches = forward(model, x)
-                down = backward(model, logits, y, caches, weight_decay=weight_decay)
+                down = penalized_loss(model, x, y, weight_decay)
                 p[i] = saved
                 g[i] = (up - down) / (2.0 * h)
             out.append(g)
     return out
 
 
-def max_grad_rel_error(model, x, y, weight_decay=0.0):
-    """Worst relative disagreement between analytic and numeric gradients."""
+def sgd_update(model, x, y, weight_decay=0.0):
+    """The step sgd_step(lr=1.0, momentum=0.0, weight_decay=...) takes from
+    zero velocity, one array per parameter (before minus after); the
+    parameters and velocities are restored afterwards."""
+    params = [p for layer in model.param_layers() for p in layer.params]
+    before = [p.copy() for p in params]
+    model.zero_velocity()
     logits, caches = forward(model, x)
-    backward(model, logits, y, caches, weight_decay=weight_decay)
-    analytic = [g.copy() for layer in model.param_layers() for g in layer.grads]
+    backward(model, logits, y, caches)
+    sgd_step(model, lr=1.0, momentum=0.0, weight_decay=weight_decay)
+    update = [b - p for b, p in zip(before, params)]
+    for p, b in zip(params, before):
+        p[...] = b
+    model.zero_velocity()
+    return update
+
+
+def max_grad_rel_error(model, x, y, weight_decay=0.0):
+    """Worst relative disagreement between the analytic update and the
+    numeric gradient of the penalized loss."""
+    analytic = sgd_update(model, x, y, weight_decay)
     numeric = finite_diff_grads(model, x, y, weight_decay=weight_decay)
     worst = 0.0
     for a, n in zip(analytic, numeric):

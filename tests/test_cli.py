@@ -285,6 +285,26 @@ class TestExitCodes:
         assert run(["train", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "eta_max", "inf"),
+        ("benchmark", "lr1", "inf"),
+        ("benchmark", "weight_decay", "nan"),
+        ("benchmark", "blobs_noise", "nan"),
+        ("benchmark", "finder_hi", "inf"),
+        ("benchmark", "min_delta", "nan"),
+        ("benchmark", "blobs_noise", "-1"),
+    ])
+    def test_non_finite_or_negative_value_exits_2_naming_key(
+            self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"max_epochs = 3\n{key} = {value}\n")
+        assert run([command, "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and key in errors[0]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["train", "--config", str(tmp_path / "none.cfg")]) == 2
 

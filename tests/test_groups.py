@@ -5,7 +5,7 @@ from lrbench.data import make_blobs
 from lrbench.groups import (LayerGroupRates, group_lr_at, head_model,
                             precompute_features)
 from lrbench.nn import (Dense, Model, ReLU, ShapeError, build_cnn, build_mlp,
-                        forward, train_step)
+                        forward, predict, train_step)
 from lrbench.schedule import CosineCycleConfig, lr_at
 
 
@@ -94,7 +94,7 @@ class TestPrecomputeFeatures:
     def test_matches_manual_body_forward(self):
         model = build_mlp((3, 8, 8), 3)
         ds = make_blobs(n_per_class=10, seed=0)
-        features = precompute_features(model, ds.images, batch_size=7)
+        features = precompute_features(model, ds.images)
         out = np.asarray(ds.images, dtype=model.dtype)
         for layer in model.layers[:-1]:
             out, _ = layer.forward(out)
@@ -133,12 +133,14 @@ class TestPrecomputeFeatures:
             precompute_features(model, ds)  # a Dataset is not an image array
 
     def test_batch_size_does_not_change_result(self):
-        # not bit-exact across batch sizes: BLAS picks different reduction
-        # orders for different shapes, so allow f32 rounding noise
+        # the cache's one batched pass against 4-row batches of predict over
+        # the body; not bit-exact across batch sizes: BLAS picks different
+        # reduction orders for different shapes, so allow f32 rounding noise
         model = build_mlp((3, 8, 8), 3)
         ds = make_blobs(n_per_class=11)
-        a = precompute_features(model, ds.images, batch_size=4)
-        b = precompute_features(model, ds.images, batch_size=256)
+        body = Model(model.layers[:-1])
+        a = predict(body, ds.images, batch_size=4)
+        b = precompute_features(model, ds.images)
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
     def test_f32_cast_overflow_raises(self):
@@ -148,6 +150,15 @@ class TestPrecomputeFeatures:
         model = Model(layers, dtype=np.float64)
         with pytest.raises(FloatingPointError, match="non-finite"):
             precompute_features(model, np.ones((4, 2)))
+
+    def test_first_layer_overflow_raises_f32(self):
+        # inf out of the first layer turns into inf or nan further up, so
+        # the one check on the cached features still catches it
+        model = build_cnn((3, 8, 8), 3, seed=0)
+        model.layers[0].W[...] = np.finfo(np.float32).max
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="non-finite"):
+                precompute_features(model, np.ones((4, 3, 8, 8)))
 
 
 class TestGroupLrAt:

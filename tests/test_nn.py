@@ -5,9 +5,10 @@ import pytest
 
 from conftest import max_grad_rel_error
 from lrbench.groups import LayerGroupRates
+import lrbench.nn
 from lrbench.nn import (_CONV_BLOCK_ROWS, Conv2d, Dense, Flatten, MaxPool2,
                         Model, NonFiniteLossError, ReLU, ShapeError, backward,
-                        build_cnn, build_mlp, forward, sgd_step,
+                        build_cnn, build_mlp, forward, predict, sgd_step,
                         softmax_cross_entropy, train_step)
 
 
@@ -140,6 +141,39 @@ class TestForward:
         assert y.shape == (3, 10)
         back = model.layers[0].backward(y, caches[0])
         assert np.array_equal(back, x)
+
+
+class TestPredict:
+    def slice_rows(self, monkeypatch):
+        """Record the rows of every forward call predict makes."""
+        rows = []
+
+        def spy(model, batch):
+            rows.append(len(batch))
+            return forward(model, batch)
+
+        monkeypatch.setattr(lrbench.nn, "forward", spy)
+        return rows
+
+    def test_more_than_256_rows(self, monkeypatch):
+        model = build_cnn((3, 8, 8), 3, seed=0)
+        x = f64_rng(3).random((300, 3, 8, 8)).astype(np.float32)
+        expected = np.concatenate([forward(model, x[:256])[0],
+                                   forward(model, x[256:])[0]])
+        rows = self.slice_rows(monkeypatch)
+        out = predict(model, x)
+        assert rows == [256, 44]
+        assert out.shape == (300, 3) and out.dtype == np.float32
+        np.testing.assert_array_equal(out, expected)
+
+    def test_batch_size_sets_the_slices(self, monkeypatch):
+        model = build_mlp((3, 4, 4), 5, dtype=np.float64, seed=1)
+        x = f64_rng(4).random((30, 3, 4, 4))
+        whole, _ = forward(model, x)
+        rows = self.slice_rows(monkeypatch)
+        out = predict(model, x, batch_size=7)
+        assert rows == [7, 7, 7, 7, 2]
+        np.testing.assert_allclose(out, whole, rtol=1e-12)
 
 
 class TestLoss:
@@ -302,8 +336,7 @@ class TestBackward:
             layer.backward = lambda *args, **kwargs: calls.append(args)
         model = Model(layers, dtype=np.float64)
         logits, caches = forward(model, rng.random((3, 2, 2)))
-        loss = backward(model, logits, np.array([0, 1, 3]), caches,
-                        weight_decay=0.5)
+        loss = backward(model, logits, np.array([0, 1, 3]), caches)
         assert math.isfinite(loss)
         assert calls == []
 

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lrbench.data import make_blobs
 from lrbench.errors import ConfigError
-from lrbench.nn import Dense, Flatten, Model, build_mlp
+from lrbench.nn import (Dense, Flatten, Model, build_mlp, predict,
+                        softmax_cross_entropy)
 from lrbench.train import (EarlyStopState, TrainConfig, batches_per_epoch,
                            early_stop_update, evaluate, iterate_minibatches,
                            train_phase)
@@ -114,22 +116,24 @@ class TestEvaluate:
         assert acc == pytest.approx(3 / 9)
 
     def test_batching_consistent(self):
+        # evaluate's one batched pass agrees with 5-row batches of predict
         model = build_mlp((3, 8, 8), 3, dtype=np.float64, seed=0)
         ds = make_blobs(n_per_class=13)
-        a = evaluate(model, ds.images, ds.labels, batch_size=5)
-        b = evaluate(model, ds.images, ds.labels, batch_size=256)
-        assert a[0] == pytest.approx(b[0], rel=1e-12)
-        assert a[1] == b[1]
+        logits = predict(model, ds.images, batch_size=5)
+        loss, acc = evaluate(model, ds.images, ds.labels)
+        assert loss == pytest.approx(softmax_cross_entropy(logits, ds.labels),
+                                     rel=1e-12)
+        assert acc == np.mean(np.argmax(logits, axis=1) == ds.labels)
+        assert type(acc) is float
 
 
 class TestTrainPhase:
     def test_learns_separable_blobs(self):
         model, ds = blob_setup()
-        cfg = TrainConfig(batch_size=16, seed=0)
+        cfg = TrainConfig(batch_size=16, seed=0, max_epochs=5)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phase_index=1, lr_fn=lambda t: 0.05, cfg=cfg,
-            max_epochs=5)
+            phase_name="p", phase_index=1, lr_fn=lambda t: 0.05, cfg=cfg)
         assert result.epochs_run == 5
         assert result.final_valid_acc > 0.9
 
@@ -137,48 +141,47 @@ class TestTrainPhase:
         histories = []
         for _ in range(2):
             model, ds = blob_setup(seed=3)
-            cfg = TrainConfig(batch_size=8, seed=3)
+            cfg = TrainConfig(batch_size=8, seed=3, max_epochs=3)
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                         phase_name="p", phase_index=1, lr_fn=lambda t: 0.02,
-                        cfg=cfg, max_epochs=3, history=history)
+                        cfg=cfg, history=history)
             histories.append([(r.train_loss, r.valid_loss, r.valid_acc)
                               for r in history])
         assert histories[0] == histories[1]
 
     def test_target_accuracy_ends_phase(self):
         model, ds = blob_setup()
-        cfg = TrainConfig(batch_size=16, seed=0)
+        cfg = TrainConfig(batch_size=16, seed=0, max_epochs=50)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
             phase_name="p", phase_index=1, lr_fn=lambda t: 0.05, cfg=cfg,
-            max_epochs=50, target_accuracy=0.95)
+            target_accuracy=0.95)
         assert result.epochs_run < 50
         assert result.final_valid_acc >= 0.95
 
     def test_stopper_ends_stalled_phase(self):
         model, ds = blob_setup()
-        cfg = TrainConfig(batch_size=16, seed=0)
+        cfg = TrainConfig(batch_size=16, seed=0, max_epochs=50)
         # zero learning rate: accuracy never moves after the first epoch
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
             phase_name="p", phase_index=1, lr_fn=lambda t: 0.0, cfg=cfg,
-            max_epochs=50, target_accuracy=0.95,
-            stopper=EarlyStopState(patience=1))
+            target_accuracy=0.95, stopper=EarlyStopState(patience=1))
         assert result.epochs_run == 3  # first improves, then patience+1 plateaus
         assert result.final_valid_acc < 0.95
 
     def test_result_matches_history(self):
         model, ds = blob_setup()
-        cfg = TrainConfig(batch_size=16, seed=0)
+        cfg = TrainConfig(batch_size=16, seed=0, max_epochs=50)
         history = []
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                     phase_name="warm", phase_index=1, lr_fn=lambda t: 0.01,
-                    cfg=cfg, max_epochs=2, history=history)
+                    cfg=replace(cfg, max_epochs=2), history=history)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
             phase_name="p", phase_index=2, lr_fn=lambda t: 0.05, cfg=cfg,
-            max_epochs=50, target_accuracy=0.95, history=history)
+            target_accuracy=0.95, history=history)
         rows = history[2:]
         assert result.name == "p"
         assert result.epochs_run == len(rows) > 0
@@ -194,18 +197,18 @@ class TestTrainPhase:
                 for layer in model.param_layers():
                     for v in layer.vel:
                         v[...] = 0.5
-            cfg = TrainConfig(batch_size=16, seed=4)
+            cfg = TrainConfig(batch_size=16, seed=4, max_epochs=2)
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                         phase_name="p", phase_index=1, lr_fn=lambda t: 0.02,
-                        cfg=cfg, max_epochs=2, history=history)
+                        cfg=cfg, history=history)
             histories.append([(r.train_loss, r.valid_loss, r.valid_acc)
                               for r in history])
         assert histories[0] == histories[1]
 
     def test_iteration_counter_runs_from_zero_across_epochs(self):
         model, ds = blob_setup(n_per_class=10)  # 30 samples
-        cfg = TrainConfig(batch_size=8, seed=0)
+        cfg = TrainConfig(batch_size=8, seed=0, max_epochs=3)
         seen = []
 
         def lr_fn(t):
@@ -213,8 +216,7 @@ class TestTrainPhase:
             return 0.01
 
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                    phase_name="p", phase_index=1, lr_fn=lr_fn, cfg=cfg,
-                    max_epochs=3)
+                    phase_name="p", phase_index=1, lr_fn=lr_fn, cfg=cfg)
         assert seen == list(range(3 * 4))
 
     def test_history_rows(self):
@@ -226,8 +228,8 @@ class TestTrainPhase:
         for name, lr, epochs in (("warm", 0.03, 2), ("cool", 0.01, 3)):
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                         phase_name=name, phase_index=2,
-                        lr_fn=lambda t, lr=lr: lr, cfg=cfg, max_epochs=epochs,
-                        history=history)
+                        lr_fn=lambda t, lr=lr: lr,
+                        cfg=replace(cfg, max_epochs=epochs), history=history)
         assert [r.epoch for r in history] == [0, 1, 2, 3, 4]
         assert [r.phase for r in history] == ["warm"] * 2 + ["cool"] * 3
         assert [r.lr for r in history] == [0.03] * 2 + [0.01] * 3
@@ -236,22 +238,23 @@ class TestTrainPhase:
     def test_history_lr_uses_final_group_rate(self):
         ds = make_blobs(n_per_class=20, seed=0)
         model = build_mlp((3, 8, 8), 3, hidden=(16, 16), seed=0)
-        cfg = TrainConfig(batch_size=16, seed=0)
+        cfg = TrainConfig(batch_size=16, seed=0, max_epochs=1)
         history = []
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                     phase_name="p", phase_index=1,
                     lr_fn=lambda t: (1e-4, 1e-3, 1e-2), cfg=cfg,
-                    max_epochs=1, history=history)
+                    history=history)
         assert history[0].lr == 1e-2
 
     def test_augmentation_changes_training_stream(self):
         losses = []
         for augment in (False, True):
             model, ds = blob_setup(seed=2)
-            cfg = TrainConfig(batch_size=16, seed=2, augment=augment)
+            cfg = TrainConfig(batch_size=16, seed=2, augment=augment,
+                              max_epochs=1)
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                         phase_name="p", phase_index=1, lr_fn=lambda t: 0.02,
-                        cfg=cfg, max_epochs=1, history=history)
+                        cfg=cfg, history=history)
             losses.append(history[0].train_loss)
         assert losses[0] != losses[1]
