@@ -62,7 +62,7 @@ _SCHEMA = {
     "finder_hi": (_finite, "finder", "lr_hi"),
     "finder_steps": (int, "finder", "n_steps"),
     "finder_beta": (_finite, "finder", "smoothing_beta"),
-    "finder_divergence": (_finite, "finder", "divergence_factor"),
+    "finder_divergence": (float, "finder", "divergence_factor"),
     "finder_batch": (int, "bench", "finder_batch"),
     "target_accuracy": (_finite, "bench", "target_accuracy"),
     "lr1": (_finite, "bench", "lr1"),

@@ -99,8 +99,10 @@ class Dense(Layer):
         return grad_out @ self.W.T if need_input_grad else None
 
 
+# Rows per forward call in predict; no cache outlives its slice.
+_PREDICT_ROWS = 256
 # Input rows per im2col block in Conv2d.forward: the columns are k*k times
-# the input, and predict passes up to 256 rows.
+# the input, and predict passes up to _PREDICT_ROWS rows.
 _CONV_BLOCK_ROWS = 16
 
 
@@ -280,11 +282,11 @@ def forward(model: Model, batch: np.ndarray):
     return x, caches
 
 
-def predict(model: Model, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+def predict(model: Model, x: np.ndarray) -> np.ndarray:
     """The model's outputs for every row of ``x``, computed by forward over
-    batch_size rows at a time so no cache outlives its batch."""
-    return np.concatenate([forward(model, x[start:start + batch_size])[0]
-                           for start in range(0, len(x), batch_size)])
+    _PREDICT_ROWS rows at a time."""
+    return np.concatenate([forward(model, x[start:start + _PREDICT_ROWS])[0]
+                           for start in range(0, len(x), _PREDICT_ROWS)])
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -115,6 +116,13 @@ class TestBuildBenchConfig:
             build_bench_config({"lr1": "0.001", "lr2": "0.01"})
         with pytest.raises(ConfigError):
             build_bench_config({"momentum": "1.5"})
+
+    def test_infinite_divergence_factor_allowed(self):
+        # inf stops the range test only on a non-finite loss; nan is not > 1
+        cfg = build_bench_config({"finder_divergence": "inf"})
+        assert cfg.finder.divergence_factor == math.inf
+        with pytest.raises(ConfigError, match="divergence_factor"):
+            build_bench_config({"finder_divergence": "nan"})
 
     def test_every_key_has_a_caster(self):
         for key, caster in CONFIG_KEYS.items():

@@ -5,7 +5,7 @@ from lrbench.data import make_blobs
 from lrbench.groups import (LayerGroupRates, group_lr_at, head_model,
                             precompute_features)
 from lrbench.nn import (Dense, Model, ReLU, ShapeError, build_cnn, build_mlp,
-                        forward, predict, train_step)
+                        forward, train_step)
 from lrbench.schedule import CosineCycleConfig, lr_at
 
 
@@ -133,13 +133,12 @@ class TestPrecomputeFeatures:
             precompute_features(model, ds)  # a Dataset is not an image array
 
     def test_batch_size_does_not_change_result(self):
-        # the cache's one batched pass against 4-row batches of predict over
+        # 300 rows: the cache's 256 + 44-row pass against one forward over
         # the body; not bit-exact across batch sizes: BLAS picks different
         # reduction orders for different shapes, so allow f32 rounding noise
         model = build_mlp((3, 8, 8), 3)
-        ds = make_blobs(n_per_class=11)
-        body = Model(model.layers[:-1])
-        a = predict(body, ds.images, batch_size=4)
+        ds = make_blobs(n_per_class=100)
+        a, _ = forward(Model(model.layers[:-1]), ds.images)
         b = precompute_features(model, ds.images)
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 

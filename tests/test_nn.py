@@ -166,15 +166,6 @@ class TestPredict:
         assert out.shape == (300, 3) and out.dtype == np.float32
         np.testing.assert_array_equal(out, expected)
 
-    def test_batch_size_sets_the_slices(self, monkeypatch):
-        model = build_mlp((3, 4, 4), 5, dtype=np.float64, seed=1)
-        x = f64_rng(4).random((30, 3, 4, 4))
-        whole, _ = forward(model, x)
-        rows = self.slice_rows(monkeypatch)
-        out = predict(model, x, batch_size=7)
-        assert rows == [7, 7, 7, 7, 2]
-        np.testing.assert_allclose(out, whole, rtol=1e-12)
-
 
 class TestLoss:
     def test_uniform_logits_give_log_k(self):

@@ -6,7 +6,7 @@ import pytest
 
 from lrbench.data import make_blobs
 from lrbench.errors import ConfigError
-from lrbench.nn import (Dense, Flatten, Model, build_mlp, predict,
+from lrbench.nn import (Dense, Flatten, Model, build_mlp, forward,
                         softmax_cross_entropy)
 from lrbench.train import (EarlyStopState, TrainConfig, batches_per_epoch,
                            early_stop_update, evaluate, iterate_minibatches,
@@ -116,10 +116,10 @@ class TestEvaluate:
         assert acc == pytest.approx(3 / 9)
 
     def test_batching_consistent(self):
-        # evaluate's one batched pass agrees with 5-row batches of predict
+        # 300 rows: evaluate's 256 + 44-row pass agrees with one forward
         model = build_mlp((3, 8, 8), 3, dtype=np.float64, seed=0)
-        ds = make_blobs(n_per_class=13)
-        logits = predict(model, ds.images, batch_size=5)
+        ds = make_blobs(n_per_class=100)
+        logits, _ = forward(model, ds.images)
         loss, acc = evaluate(model, ds.images, ds.labels)
         assert loss == pytest.approx(softmax_cross_entropy(logits, ds.labels),
                                      rel=1e-12)
