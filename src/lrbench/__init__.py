@@ -17,8 +17,7 @@ from .finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
 from .groups import LayerGroupRates, group_lr_at, precompute_features
 from .nn import Model, backward, build_cnn, build_mlp, forward, sgd_step
 from .schedule import CosineCycleConfig, cosine_lr, dump_schedule, lr_at
-from .train import (EarlyStopState, PhaseResult, TrainConfig,
-                    early_stop_update, evaluate)
+from .train import PhaseResult, TrainConfig, evaluate
 
 __version__ = "0.1.0"
 
@@ -33,6 +32,6 @@ __all__ = [
     "LayerGroupRates", "group_lr_at", "precompute_features",
     "Model", "backward", "build_cnn", "build_mlp", "forward", "sgd_step",
     "CosineCycleConfig", "cosine_lr", "dump_schedule", "lr_at",
-    "EarlyStopState", "TrainConfig", "early_stop_update", "evaluate",
+    "TrainConfig", "evaluate",
     "__version__",
 ]

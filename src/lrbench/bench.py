@@ -36,8 +36,8 @@ from .groups import (LayerGroupRates, group_lr_at, head_model,
                      precompute_features)
 from .nn import Model, build_cnn, build_mlp, predict
 from .schedule import CosineCycleConfig, lr_at
-from .train import (EarlyStopState, EpochRecord, PhaseResult, TrainConfig,
-                    batches_per_epoch, evaluate, train_phase)
+from .train import (EpochRecord, PhaseResult, TrainConfig, batches_per_epoch,
+                    evaluate, train_phase)
 
 __all__ = [
     "BenchConfig",
@@ -209,7 +209,7 @@ def run_conventional(cfg: BenchConfig,
     fixed_lr1 = train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
         phase_name="fixed_lr1", phase_index=1, lr_fn=lambda t: cfg.lr1,
-        cfg=train_cfg, stopper=EarlyStopState(cfg.patience, cfg.min_delta),
+        cfg=train_cfg, patience=cfg.patience, min_delta=cfg.min_delta,
         history=history)
     if fixed_lr1.final_valid_acc >= cfg.target_accuracy:
         fixed_lr2 = PhaseResult("fixed_lr2", 0, fixed_lr1.final_valid_acc, 0.0)
@@ -218,7 +218,7 @@ def run_conventional(cfg: BenchConfig,
             model, train_ds.images, train_ds.labels, valid_ds.images,
             valid_ds.labels, phase_name="fixed_lr2", phase_index=2,
             lr_fn=lambda t: cfg.lr2, cfg=train_cfg,
-            stopper=EarlyStopState(cfg.patience, cfg.min_delta),
+            patience=cfg.patience, min_delta=cfg.min_delta,
             target_accuracy=cfg.target_accuracy, history=history)
     return finish_report(model, valid_ds, [fixed_lr1, fixed_lr2], history,
                          cfg.target_accuracy)
@@ -261,7 +261,7 @@ def run_optimized(cfg: BenchConfig,
         phase_name="head_sgdr", phase_index=2,
         lr_fn=lambda t: lr_at(t, sched2),
         cfg=replace(cfg.train, augment=False, max_epochs=cfg.head_epochs),
-        stopper=EarlyStopState(cfg.patience, cfg.min_delta),
+        patience=cfg.patience, min_delta=cfg.min_delta,
         target_accuracy=cfg.target_accuracy, history=history)
     if head_sgdr.final_valid_acc >= cfg.target_accuracy:
         dlr_clm = PhaseResult("dlr_clm", 0, head_sgdr.final_valid_acc, 0.0)
@@ -270,7 +270,7 @@ def run_optimized(cfg: BenchConfig,
             model, train_ds.images, train_ds.labels, valid_ds.images,
             valid_ds.labels, phase_name="dlr_clm", phase_index=3,
             lr_fn=lambda t: group_lr_at(t, cfg.rates, cfg.sched),
-            cfg=cfg.train, stopper=EarlyStopState(cfg.patience, cfg.min_delta),
+            cfg=cfg.train, patience=cfg.patience, min_delta=cfg.min_delta,
             target_accuracy=cfg.target_accuracy, history=history)
     return finish_report(model, valid_ds, [range_phase, head_sgdr, dlr_clm],
                          history, cfg.target_accuracy, eta_max, trace)

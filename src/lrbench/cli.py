@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError
 from .finder import NoDescentFound, suggest_lr, write_trace_csv
 from .groups import precompute_features
 from .schedule import dump_schedule, lr_at, write_schedule_csv
-from .train import EarlyStopState, train_phase
+from .train import train_phase
 
 __all__ = ["main", "run"]
 
@@ -39,25 +39,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Learning-rate schedule toolkit and training benchmark.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--config", help="flat key = value config file")
-        sp.add_argument("--seed", type=int, help="RNG seed override")
+    def add_out(sp):
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--dataset", help="blobs or cifar10:PATH")
-        sp.add_argument("--model", choices=("mlp", "cnn"))
-        sp.add_argument("--precision", choices=("f32", "f64"))
 
-    add_common(sub.add_parser("lr-find",
+    def add_config(sp, run_flags=True):
+        sp.add_argument("--config", help="flat key = value config file")
+        add_out(sp)
+        if run_flags:
+            sp.add_argument("--seed", type=int, help="RNG seed override")
+            sp.add_argument("--dataset", help="blobs or cifar10:PATH")
+            sp.add_argument("--model", choices=("mlp", "cnn"))
+            sp.add_argument("--precision", choices=("f32", "f64"))
+
+    add_config(sub.add_parser("lr-find",
                               help="suggest the head's peak learning rate"))
-    add_common(sub.add_parser("train", help="train under the cosine schedule"))
-    add_common(sub.add_parser("benchmark",
+    add_config(sub.add_parser("train", help="train under the cosine schedule"))
+    add_config(sub.add_parser("benchmark",
                               help="compare conventional vs optimized training"))
     sp = sub.add_parser("schedule-dump", help="dump the schedule as CSV")
-    add_common(sp)
+    add_config(sp, run_flags=False)
     sp.add_argument("--iters", type=int, default=1500,
                     help="number of iterations to dump")
     sp = sub.add_parser("confusion", help="confusion matrix from a CSV")
-    add_common(sp)
+    add_out(sp)
     sp.add_argument("--pred", required=True,
                     help="CSV with header true,pred and one id pair per line")
     return parser
@@ -65,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _bench_config(args):
     raw = parse_config_file(args.config) if args.config else {}
-    overrides = {"dataset": args.dataset, "model": args.model,
-                 "seed": args.seed, "precision": args.precision}
+    # schedule-dump takes --config alone
+    overrides = {key: getattr(args, key, None)
+                 for key in ("dataset", "model", "seed", "precision")}
     return build_bench_config(raw, overrides)
 
 
@@ -100,7 +105,7 @@ def cmd_train(args) -> None:
         model, train_ds.images, train_ds.labels, valid_ds.images,
         valid_ds.labels, phase_name="sgdr", phase_index=1,
         lr_fn=lambda t: lr_at(t, cfg.sched), cfg=cfg.train,
-        stopper=EarlyStopState(cfg.patience, cfg.min_delta),
+        patience=cfg.patience, min_delta=cfg.min_delta,
         target_accuracy=cfg.target_accuracy, history=history)
     report = finish_report(model, valid_ds, [phase], history,
                            cfg.target_accuracy)

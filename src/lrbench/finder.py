@@ -55,6 +55,11 @@ class RangeTestConfig:
             raise ValueError(
                 f"need 0 < lr_lo < lr_hi, got lr_lo={self.lr_lo} lr_hi={self.lr_hi}"
             )
+        if not math.isfinite(self.lr_hi / self.lr_lo):
+            raise ValueError(
+                f"lr_hi / lr_lo overflows, so the ramp would step at inf: "
+                f"lr_lo={self.lr_lo} lr_hi={self.lr_hi}"
+            )
         if self.n_steps < 10:
             raise ValueError(f"n_steps must be >= 10, got {self.n_steps}")
         if not 0.0 <= self.smoothing_beta < 1.0:

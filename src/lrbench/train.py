@@ -19,10 +19,8 @@ from .nn import DTYPES, Model, predict, softmax_cross_entropy, train_step
 
 __all__ = [
     "TrainConfig",
-    "EarlyStopState",
     "EpochRecord",
     "PhaseResult",
-    "early_stop_update",
     "batches_per_epoch",
     "iterate_minibatches",
     "evaluate",
@@ -57,31 +55,6 @@ class TrainConfig:
     @property
     def dtype(self):
         return DTYPES[self.precision]
-
-
-@dataclass
-class EarlyStopState:
-    """Tracks the best validation metric seen; asks to stop once it has not
-    improved by min_delta for more than `patience` consecutive epochs."""
-
-    patience: int = 5
-    min_delta: float = 1e-4
-    best_metric: float = -math.inf
-    epochs_since_improve: int = 0
-
-
-def early_stop_update(state: EarlyStopState, metric: float) -> str:
-    """Feed one validation metric; returns "continue" or "stop"."""
-    if not math.isfinite(metric):
-        raise ValueError(f"early stopping needs a finite metric, got {metric}")
-    if metric > state.best_metric + state.min_delta:
-        state.best_metric = metric
-        state.epochs_since_improve = 0
-        return "continue"
-    state.epochs_since_improve += 1
-    if state.epochs_since_improve > state.patience:
-        return "stop"
-    return "continue"
 
 
 def batches_per_epoch(n_samples: int, batch_size: int) -> int:
@@ -124,7 +97,7 @@ class PhaseResult:
 
 def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
                 phase_name: str, phase_index: int, lr_fn, cfg: TrainConfig,
-                stopper: EarlyStopState | None = None,
+                patience: int | None = None, min_delta: float = 0.0,
                 target_accuracy: float | None = None,
                 history: list[EpochRecord] | None = None) -> PhaseResult:
     """Run one training phase from rest: the model's velocities are zeroed
@@ -136,12 +109,18 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
     final-group rate when it is a triple) is what lands in the history row,
     whose epoch is its index in ``history``: a phase appending to a history
     numbers its epochs on from the rows already there. The phase ends after
-    cfg.max_epochs epochs, at the stopper's say-so, or as soon as validation
-    accuracy meets target_accuracy, so it met the target exactly when its
-    final accuracy does.
+    cfg.max_epochs epochs, as soon as validation accuracy meets
+    target_accuracy (so it met the target exactly when its final accuracy
+    does), or by early stopping. Unless patience is None, an epoch whose
+    accuracy beats the phase's best so far by more than min_delta becomes
+    the new best; the phase stops once more than `patience` epochs in a row
+    have not. The best starts at -inf on every call, so the first epoch
+    always improves and an earlier phase's accuracy never carries over.
     """
     phase_start = time.perf_counter()
     model.zero_velocity()
+    best_acc = -math.inf
+    stale_epochs = 0
     t = 0
     epochs_run = 0
     final_acc = float("nan")
@@ -176,7 +155,13 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
                 valid_loss=valid_loss, valid_acc=valid_acc, seconds=seconds))
         if target_accuracy is not None and valid_acc >= target_accuracy:
             break
-        if stopper is not None and early_stop_update(stopper, valid_acc) == "stop":
-            break
+        if patience is None:
+            continue
+        if valid_acc > best_acc + min_delta:
+            best_acc, stale_epochs = valid_acc, 0
+        else:
+            stale_epochs += 1
+            if stale_epochs > patience:
+                break
     return PhaseResult(phase_name, epochs_run, final_acc,
                        time.perf_counter() - phase_start)

@@ -244,7 +244,7 @@ class TestTrainCommand:
     def test_says_why_a_missed_target_ended(self, tmp_path, capsys,
                                             patience, outcome):
         # a rate too small to reach the target; no epoch after the first can
-        # beat the stopper's best by min_delta, so patience 0 stops at the
+        # beat the phase's best by min_delta, so patience 0 stops at the
         # second epoch and patience 10 spends the 3-epoch budget
         cfg = tmp_path / "slow.cfg"
         cfg.write_text("blobs_per_class = 20\nmax_epochs = 3\n"
@@ -313,6 +313,17 @@ class TestExitCodes:
         assert len(errors) == 1 and key in errors[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["lr-find", "benchmark"])
+    def test_overflowing_finder_ramp_exits_2(self, tmp_path, capsys, command):
+        # 10.0 / 1e-320 is inf: a config error, not a diverged range test
+        cfg = tmp_path / "ramp.cfg"
+        cfg.write_text("finder_lo = 1e-320\n")
+        assert run([command, "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "lr_lo=1e-320 lr_hi=10.0" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["train", "--config", str(tmp_path / "none.cfg")]) == 2
 
@@ -339,6 +350,26 @@ class TestExitCodes:
             main(["no-such-command"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["confusion", "--config", "missing.cfg", "--seed", "7",
+         "--model", "cnn"],
+        ["confusion", "--precision", "f64"],
+        ["confusion", "--dataset", "blobs"],
+        ["schedule-dump", "--seed", "7"],
+        ["schedule-dump", "--model", "cnn"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys,
+                                                     argv):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("true,pred\n0,0\n")
+        if argv[0] == "confusion":
+            argv = argv + ["--pred", str(pred)]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_reaches_training(self, tmp_path, tiny_config_file):
         out_a = tmp_path / "a"

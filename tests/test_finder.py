@@ -48,6 +48,19 @@ class TestRampLr:
         with pytest.raises(ValueError):
             RangeTestConfig(divergence_factor=1.0)
 
+    @pytest.mark.parametrize("lr_lo, lr_hi", [(1e-320, 10.0), (1e-300, 1e10),
+                                              (1e-5, math.inf)])
+    def test_overflowing_ramp_ratio_rejected(self, lr_lo, lr_hi):
+        # lr_hi / lr_lo past the float range would run every inner step at
+        # lr = inf; the error names both ends
+        with pytest.raises(ValueError, match=f"lr_lo={lr_lo} lr_hi={lr_hi}"):
+            RangeTestConfig(lr_lo=lr_lo, lr_hi=lr_hi)
+
+    def test_widest_finite_ratio_ramps_finitely(self):
+        cfg = RangeTestConfig(lr_lo=1e-300, lr_hi=1e8)
+        assert all(math.isfinite(ramp_lr(step, cfg))
+                   for step in range(cfg.n_steps))
+
 
 def probe_trace(x, y, beta, model=None):
     """A completed 50-step range test of ``model`` (by default a 3-class

@@ -8,9 +8,9 @@ from lrbench.data import make_blobs
 from lrbench.errors import ConfigError
 from lrbench.nn import (Dense, Flatten, Model, build_mlp, forward,
                         softmax_cross_entropy)
-from lrbench.train import (EarlyStopState, TrainConfig, batches_per_epoch,
-                           early_stop_update, evaluate, iterate_minibatches,
-                           train_phase)
+from lrbench import train
+from lrbench.train import (TrainConfig, batches_per_epoch, evaluate,
+                           iterate_minibatches, train_phase)
 
 
 def blob_setup(seed=0, n_per_class=20):
@@ -43,40 +43,54 @@ class TestTrainConfig:
             TrainConfig(precision="f16")
 
 
+def scripted_phase(monkeypatch, accuracies, history=None, **stopping):
+    """Run train_phase with evaluate replaced by a scripted accuracy per
+    epoch, on a budget of one epoch per score; returns the epochs run."""
+    scores = iter(accuracies)
+    monkeypatch.setattr(train, "evaluate", lambda model, x, y: (0.0, next(scores)))
+    model, ds = blob_setup(n_per_class=2)
+    result = train_phase(
+        model, ds.images, ds.labels, ds.images, ds.labels,
+        phase_name="p", phase_index=1, lr_fn=lambda t: 0.0,
+        cfg=TrainConfig(max_epochs=len(accuracies)), history=history,
+        **stopping)
+    return result.epochs_run
+
+
 class TestEarlyStop:
-    def test_first_metric_always_improves(self):
-        state = EarlyStopState(patience=0)
-        assert early_stop_update(state, -5.0) == "continue"
-        assert state.best_metric == -5.0
-        assert state.epochs_since_improve == 0
+    def test_first_metric_always_improves(self, monkeypatch):
+        # even a min_delta larger than any accuracy gain: the first epoch
+        # beats -inf, so patience 0 stops on the second, not the first
+        assert scripted_phase(monkeypatch, (0.0, 0.0, 0.0),
+                              patience=0, min_delta=1.0) == 2
 
-    def test_plateau_sequence(self):
-        state = EarlyStopState(patience=2, min_delta=1e-4)
-        results = [early_stop_update(state, m)
-                   for m in (0.5, 0.6, 0.6, 0.6, 0.6)]
-        assert results == ["continue"] * 4 + ["stop"]
+    def test_plateau_sequence(self, monkeypatch):
+        # two improvements, then the third plateau epoch exceeds patience 2
+        assert scripted_phase(monkeypatch, (0.5, 0.6, 0.6, 0.6, 0.6, 0.6),
+                              patience=2, min_delta=1e-4) == 5
 
-    def test_improvement_resets_counter(self):
-        state = EarlyStopState(patience=1)
-        early_stop_update(state, 0.5)
-        early_stop_update(state, 0.5)  # counter -> 1
-        assert early_stop_update(state, 0.7) == "continue"
-        assert state.epochs_since_improve == 0
-        assert state.best_metric == 0.7
+    def test_improvement_resets_counter(self, monkeypatch):
+        # 0.7 resets the count that 0.5's repeat raised to 1; without the
+        # reset the phase would stop there, at epoch 3
+        assert scripted_phase(monkeypatch, (0.5, 0.5, 0.7, 0.7, 0.7, 0.7),
+                              patience=1) == 5
 
-    def test_min_delta_gates_improvement(self):
-        state = EarlyStopState(patience=0, min_delta=0.1)
-        early_stop_update(state, 0.5)
-        # a gain smaller than min_delta is a plateau, not an improvement
-        assert early_stop_update(state, 0.55) == "stop"
-        assert state.best_metric == 0.5
+    def test_min_delta_gates_improvement(self, monkeypatch):
+        # 0.55 is within min_delta of 0.5, so it counts as a plateau and
+        # leaves the best at 0.5; 0.61 then beats it and becomes the best
+        assert scripted_phase(monkeypatch, (0.5, 0.55, 0.61, 0.66, 0.7, 0.7),
+                              patience=1, min_delta=0.1) == 5
+        assert scripted_phase(monkeypatch, (0.5, 0.55, 0.9),
+                              patience=0, min_delta=0.1) == 2
 
-    def test_non_finite_metric_rejected(self):
-        state = EarlyStopState()
-        with pytest.raises(ValueError):
-            early_stop_update(state, math.nan)
-        with pytest.raises(ValueError):
-            early_stop_update(state, math.inf)
+    def test_second_phase_starts_with_a_fresh_best(self, monkeypatch):
+        # a later phase appending to the same history is not measured
+        # against the earlier phase's higher accuracy
+        history = []
+        assert scripted_phase(monkeypatch, (0.9,), history, patience=0) == 1
+        assert scripted_phase(monkeypatch, (0.5, 0.5, 0.5), history,
+                              patience=0) == 2
+        assert [r.valid_acc for r in history] == [0.9, 0.5, 0.5]
 
 
 class TestBatches:
@@ -167,7 +181,7 @@ class TestTrainPhase:
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
             phase_name="p", phase_index=1, lr_fn=lambda t: 0.0, cfg=cfg,
-            target_accuracy=0.95, stopper=EarlyStopState(patience=1))
+            target_accuracy=0.95, patience=1)
         assert result.epochs_run == 3  # first improves, then patience+1 plateaus
         assert result.final_valid_acc < 0.95
 
