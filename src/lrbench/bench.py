@@ -69,7 +69,6 @@ class BenchConfig:
     finder_batch: int | None = None
     patience: int = 5
     min_delta: float = 1e-4
-    blobs_per_class: int = 200
     blobs_noise: float = 0.08
     n_per_class: int = 200
     split_num: int = 5
@@ -89,6 +88,8 @@ class BenchConfig:
             raise ConfigError("patience and min_delta must be >= 0")
         if self.finder_batch is not None and self.finder_batch < 1:
             raise ConfigError(f"finder_batch must be >= 1, got {self.finder_batch}")
+        if self.n_per_class < 1:
+            raise ConfigError(f"n_per_class must be >= 1, got {self.n_per_class}")
         if self.blobs_noise < 0:
             raise ConfigError(f"blobs_noise must be >= 0, got {self.blobs_noise}")
         if self.split_num < 1 or self.split_den < 1:
@@ -118,7 +119,7 @@ def load_bench_dataset(cfg: BenchConfig) -> tuple[Dataset, Dataset]:
     """Resolve the dataset spec ("blobs" or "cifar10:PATH") into normalized,
     stratified train/valid splits."""
     if cfg.dataset == "blobs":
-        ds = make_blobs(n_per_class=cfg.blobs_per_class, noise=cfg.blobs_noise,
+        ds = make_blobs(n_per_class=cfg.n_per_class, noise=cfg.blobs_noise,
                         seed=cfg.train.seed)
     elif cfg.dataset.startswith("cifar10:"):
         path = cfg.dataset.split(":", 1)[1]
@@ -229,14 +230,15 @@ def run_optimized(cfg: BenchConfig,
     """Three-phase pipeline: (1) cache the head's inputs for both splits
     from one pass through the body, then pick the peak rate with a range
     test of the head view (the final group alone) on the cached training
-    features; (2) train the head view on the same cache under a restarting
-    cosine schedule for up to head_epochs, leaving the body fixed; (3)
-    fine-tune the whole model with per-group rates under doubling cycles
-    until early stopping or the accuracy target. Phase 1's accuracy is the
-    untrained head's on the cached validation features, which in f32 equals
-    the full model's. Validation accuracy is checked after every epoch in
-    phases 2 and 3; reaching the target ends the pipeline, so a head that
-    already meets it makes phase 3 a zero-epoch entry.
+    features; (2) train the head view on the same cache for up to
+    head_epochs, annealing from the peak rate to 0 every epoch, leaving the
+    body fixed; (3) fine-tune the whole model with per-group rates under
+    doubling cycles until early stopping or the accuracy target. Phase 1's
+    accuracy is the untrained head's on the cached validation features,
+    which in f32 equals the full model's. Validation accuracy is checked
+    after every epoch in phases 2 and 3; reaching the target ends the
+    pipeline, so a head that already meets it makes phase 3 a zero-epoch
+    entry.
 
     Raises NoDescentFound if the range test yields no usable suggestion.
     """
@@ -255,7 +257,7 @@ def run_optimized(cfg: BenchConfig,
 
     sched2 = CosineCycleConfig(
         eta_max=eta_max, t0=batches_per_epoch(len(train_ds), cfg.train.batch_size),
-        eta_min=cfg.sched.eta_min, mult=1)
+        mult=1)
     head_sgdr = train_phase(
         head, train_feats, train_ds.labels, valid_feats, valid_ds.labels,
         phase_name="head_sgdr", phase_index=2,

@@ -70,7 +70,6 @@ _SCHEMA = {
     "head_epochs": (int, "bench", "head_epochs"),
     "patience": (int, "bench", "patience"),
     "min_delta": (_finite, "bench", "min_delta"),
-    "blobs_per_class": (int, "bench", "blobs_per_class"),
     "blobs_noise": (_finite, "bench", "blobs_noise"),
     "n_per_class": (int, "bench", "n_per_class"),
     "split_num": (int, "bench", "split_num"),

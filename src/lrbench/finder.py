@@ -138,9 +138,6 @@ def range_test(model: Model, data, cfg: RangeTestConfig, rng_seed: int,
         if not math.isfinite(smoothed):
             stop_reason = "diverged"
             break
-        if i == 0:
-            best = smoothed
-            continue
         if smoothed > cfg.divergence_factor * best:
             stop_reason = "diverged"
             break

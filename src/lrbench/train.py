@@ -129,7 +129,6 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, phase_index, epoch]))
         loss_sum = 0.0
-        n_seen = 0
         epoch_lr = None
         for idx in iterate_minibatches(len(train_x), cfg.batch_size, rng):
             xb = train_x[idx]
@@ -142,7 +141,6 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
                               momentum=cfg.momentum,
                               weight_decay=cfg.weight_decay)
             loss_sum += loss * len(idx)
-            n_seen += len(idx)
             t += 1
         valid_loss, valid_acc = evaluate(model, valid_x, valid_y)
         seconds = time.perf_counter() - start_time
@@ -151,7 +149,7 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
         if history is not None:
             history.append(EpochRecord(
                 epoch=len(history), phase=phase_name,
-                lr=float(epoch_lr), train_loss=loss_sum / n_seen,
+                lr=float(epoch_lr), train_loss=loss_sum / len(train_x),
                 valid_loss=valid_loss, valid_acc=valid_acc, seconds=seconds))
         if target_accuracy is not None and valid_acc >= target_accuracy:
             break

@@ -14,6 +14,7 @@ from lrbench.errors import ConfigError
 from lrbench.finder import RangeTestConfig, write_trace_csv
 from lrbench.groups import precompute_features
 from lrbench.nn import Conv2d, Dense, forward, train_step
+from lrbench.schedule import CosineCycleConfig
 from lrbench.train import EpochRecord, PhaseResult, TrainConfig, evaluate
 
 
@@ -23,7 +24,7 @@ def tiny_config(seed=0, **kwargs):
         finder=RangeTestConfig(lr_lo=1e-3, lr_hi=2.0, n_steps=25,
                                smoothing_beta=0.9),
         finder_batch=64,
-        blobs_per_class=40,
+        n_per_class=40,
         head_epochs=2,
         patience=2,
         target_accuracy=0.95,
@@ -51,6 +52,8 @@ class TestBenchConfig:
             BenchConfig(finder_batch=0)
         with pytest.raises(ConfigError):
             BenchConfig(split_num=0)
+        with pytest.raises(ConfigError, match="n_per_class"):
+            BenchConfig(n_per_class=0)
 
 
 class TestLoadBenchDataset:
@@ -236,6 +239,21 @@ class TestPipelines:
                               for r in report.history])
         assert histories[0]
         assert histories[0] == histories[1]
+
+    def test_optimized_ignores_the_schedule_rates(self):
+        # the head phase anneals from the range test's suggestion to 0 and
+        # fine-tuning scales the rate_* keys, so neither reads eta_max or
+        # eta_min
+        outputs = []
+        for sched in (BenchConfig().sched,
+                      CosineCycleConfig(eta_max=0.5, eta_min=0.3, t0=100)):
+            report = run_optimized(tiny_config(sched=sched))
+            outputs.append(([(r.epoch, r.phase, r.lr, r.train_loss,
+                              r.valid_loss, r.valid_acc)
+                             for r in report.history],
+                            report.confusion.tolist(), report.eta_max))
+        assert outputs[0][0]
+        assert outputs[0] == outputs[1]
 
     def test_reached_consistent_with_target(self):
         cfg = tiny_config()

@@ -15,7 +15,7 @@ from lrbench.groups import head_model, precompute_features
 
 TINY_CONFIG = """\
 # desk-scale smoke config
-blobs_per_class = 40
+n_per_class = 40
 max_epochs = 2
 batch_size = 16
 head_epochs = 2
@@ -217,7 +217,7 @@ class TestLrFind:
         # usable steps for a suggestion; the trace should survive for
         # diagnosis anyway
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("blobs_per_class = 40\nfinder_lo = 1000\n"
+        cfg.write_text("n_per_class = 40\nfinder_lo = 1000\n"
                        "finder_hi = 10000\nfinder_steps = 10\n")
         out = tmp_path / "out"
         code = run(["lr-find", "--config", str(cfg), "--out", str(out)])
@@ -247,7 +247,7 @@ class TestTrainCommand:
         # beat the phase's best by min_delta, so patience 0 stops at the
         # second epoch and patience 10 spends the 3-epoch budget
         cfg = tmp_path / "slow.cfg"
-        cfg.write_text("blobs_per_class = 20\nmax_epochs = 3\n"
+        cfg.write_text("n_per_class = 20\nmax_epochs = 3\n"
                        f"patience = {patience}\neta_max = 0.0001\n"
                        "min_delta = 1.0\ntarget_accuracy = 0.99\n")
         assert run(["train", "--config", str(cfg),
@@ -284,6 +284,16 @@ class TestBenchmarkCommand:
         eta_line = next(line for line in summary.splitlines()
                         if line.startswith("eta_max: "))
         assert float(eta_line.split(": ")[1]) == suggest_lr(trace)
+
+    def test_eta_min_above_the_suggestion_runs(self, tmp_path):
+        # the head phase anneals to 0 whatever eta_min says, so a floor
+        # above the range test's suggestion is no error
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text("eta_min = 0.3\neta_max = 0.5\nfinder_lo = 0.001\n"
+                       "finder_hi = 0.2\nfinder_steps = 40\n"
+                       "n_per_class = 40\nmax_epochs = 2\n")
+        assert run(["benchmark", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 0
 
 
 class TestExitCodes:
@@ -323,6 +333,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "lr_lo=1e-320 lr_hi=10.0" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dataset", ["blobs", "cifar10:missing.bin"])
+    def test_n_per_class_below_1_exits_2_for_either_dataset(
+            self, tmp_path, capsys, dataset):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"dataset = {dataset}\nn_per_class = 0\n")
+        assert run(["train", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "n_per_class" in errors[0]
+
+    def test_blobs_per_class_is_an_unknown_key(self, tmp_path, capsys):
+        # n_per_class sizes blobs and cifar10 alike
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("blobs_per_class = 40\n")
+        assert run(["train", "--config", str(cfg)]) == 2
+        assert "unknown key 'blobs_per_class'" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["train", "--config", str(tmp_path / "none.cfg")]) == 2
