@@ -201,28 +201,24 @@ def run_conventional(cfg: BenchConfig,
                      data: tuple[Dataset, Dataset] | None = None) -> RunReport:
     """Fixed-rate baseline: lr1 until early stopping, then lr2 until early
     stopping or the accuracy target. The target is only checked in the second
-    phase; if the first already met it, the second runs zero epochs. No L2
-    penalty here, that belongs to the optimized scheme."""
+    phase; if the first already met it, train_phase skips the second (0
+    epochs). No L2 penalty here, that belongs to the optimized scheme."""
     train_ds, valid_ds = data if data is not None else load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
     train_cfg = replace(cfg.train, weight_decay=0.0)
+    phases: list[PhaseResult] = []
     history: list[EpochRecord] = []
-    fixed_lr1 = train_phase(
+    train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
-        phase_name="fixed_lr1", phase_index=1, lr_fn=lambda t: cfg.lr1,
-        cfg=train_cfg, patience=cfg.patience, min_delta=cfg.min_delta,
-        history=history)
-    if fixed_lr1.final_valid_acc >= cfg.target_accuracy:
-        fixed_lr2 = PhaseResult("fixed_lr2", 0, fixed_lr1.final_valid_acc, 0.0)
-    else:
-        fixed_lr2 = train_phase(
-            model, train_ds.images, train_ds.labels, valid_ds.images,
-            valid_ds.labels, phase_name="fixed_lr2", phase_index=2,
-            lr_fn=lambda t: cfg.lr2, cfg=train_cfg,
-            patience=cfg.patience, min_delta=cfg.min_delta,
-            target_accuracy=cfg.target_accuracy, history=history)
-    return finish_report(model, valid_ds, [fixed_lr1, fixed_lr2], history,
-                         cfg.target_accuracy)
+        phase_name="fixed_lr1", phases=phases, lr_fn=lambda t: cfg.lr1,
+        cfg=train_cfg, history=history, patience=cfg.patience,
+        min_delta=cfg.min_delta)
+    train_phase(
+        model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
+        phase_name="fixed_lr2", phases=phases, lr_fn=lambda t: cfg.lr2,
+        cfg=train_cfg, history=history, patience=cfg.patience,
+        min_delta=cfg.min_delta, target_accuracy=cfg.target_accuracy)
+    return finish_report(model, valid_ds, phases, history, cfg.target_accuracy)
 
 
 def run_optimized(cfg: BenchConfig,
@@ -237,8 +233,8 @@ def run_optimized(cfg: BenchConfig,
     accuracy is the untrained head's on the cached validation features,
     which in f32 equals the full model's. Validation accuracy is checked
     after every epoch in phases 2 and 3; reaching the target ends the
-    pipeline, so a head that already meets it makes phase 3 a zero-epoch
-    entry.
+    pipeline: train_phase skips phase 3 (0 epochs) after a head that
+    already meets it. Phases 2 and 3 draw seed streams 2 and 3.
 
     Raises NoDescentFound if the range test yields no usable suggestion.
     """
@@ -253,29 +249,26 @@ def run_optimized(cfg: BenchConfig,
     trace = run_range_test(cfg, model, train_feats, train_ds.labels)
     eta_max = suggest_lr(trace)
     _, acc0 = evaluate(head, valid_feats, valid_ds.labels)
-    range_phase = PhaseResult("range_test", 0, acc0, time.perf_counter() - start)
+    phases = [PhaseResult("range_test", 0, acc0, time.perf_counter() - start)]
 
     sched2 = CosineCycleConfig(
         eta_max=eta_max, t0=batches_per_epoch(len(train_ds), cfg.train.batch_size),
         mult=1)
-    head_sgdr = train_phase(
+    train_phase(
         head, train_feats, train_ds.labels, valid_feats, valid_ds.labels,
-        phase_name="head_sgdr", phase_index=2,
+        phase_name="head_sgdr", phases=phases,
         lr_fn=lambda t: lr_at(t, sched2),
         cfg=replace(cfg.train, augment=False, max_epochs=cfg.head_epochs),
-        patience=cfg.patience, min_delta=cfg.min_delta,
-        target_accuracy=cfg.target_accuracy, history=history)
-    if head_sgdr.final_valid_acc >= cfg.target_accuracy:
-        dlr_clm = PhaseResult("dlr_clm", 0, head_sgdr.final_valid_acc, 0.0)
-    else:
-        dlr_clm = train_phase(
-            model, train_ds.images, train_ds.labels, valid_ds.images,
-            valid_ds.labels, phase_name="dlr_clm", phase_index=3,
-            lr_fn=lambda t: group_lr_at(t, cfg.rates, cfg.sched),
-            cfg=cfg.train, patience=cfg.patience, min_delta=cfg.min_delta,
-            target_accuracy=cfg.target_accuracy, history=history)
-    return finish_report(model, valid_ds, [range_phase, head_sgdr, dlr_clm],
-                         history, cfg.target_accuracy, eta_max, trace)
+        history=history, patience=cfg.patience, min_delta=cfg.min_delta,
+        target_accuracy=cfg.target_accuracy)
+    train_phase(
+        model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
+        phase_name="dlr_clm", phases=phases,
+        lr_fn=lambda t: group_lr_at(t, cfg.rates, cfg.sched), cfg=cfg.train,
+        history=history, patience=cfg.patience, min_delta=cfg.min_delta,
+        target_accuracy=cfg.target_accuracy)
+    return finish_report(model, valid_ds, phases, history, cfg.target_accuracy,
+                         eta_max, trace)
 
 
 def speedup(conventional, optimized) -> float:

@@ -100,14 +100,14 @@ def cmd_train(args) -> None:
     cfg = _bench_config(args)
     train_ds, valid_ds = load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
-    history = []
+    phases, history = [], []
     phase = train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images,
-        valid_ds.labels, phase_name="sgdr", phase_index=1,
-        lr_fn=lambda t: lr_at(t, cfg.sched), cfg=cfg.train,
+        valid_ds.labels, phase_name="sgdr", phases=phases,
+        lr_fn=lambda t: lr_at(t, cfg.sched), cfg=cfg.train, history=history,
         patience=cfg.patience, min_delta=cfg.min_delta,
-        target_accuracy=cfg.target_accuracy, history=history)
-    report = finish_report(model, valid_ds, [phase], history,
+        target_accuracy=cfg.target_accuracy)
+    report = finish_report(model, valid_ds, phases, history,
                            cfg.target_accuracy)
     for path in emit_report(report, _out_dir(args)):
         print(f"wrote {path}")

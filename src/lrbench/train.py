@@ -1,8 +1,8 @@
 """Training loop: epochs over shuffled mini-batches, per-step learning rates
 from a caller-supplied function, early stopping on validation accuracy.
 
-Everything is seeded through np.random.SeedSequence([seed, phase, epoch]) so
-a run is reproducible from its config alone, no matter what ran before it.
+Phase k of a run is seeded through np.random.SeedSequence([seed, k, epoch]),
+so a run is reproducible from its config alone, no matter what ran before it.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0.0 <= self.momentum < 1.0:
@@ -96,12 +98,15 @@ class PhaseResult:
 
 
 def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
-                phase_name: str, phase_index: int, lr_fn, cfg: TrainConfig,
+                phase_name: str, phases: list[PhaseResult], lr_fn,
+                cfg: TrainConfig, history: list[EpochRecord],
                 patience: int | None = None, min_delta: float = 0.0,
-                target_accuracy: float | None = None,
-                history: list[EpochRecord] | None = None) -> PhaseResult:
-    """Run one training phase from rest: the model's velocities are zeroed
-    first. Returns the phase's PhaseResult, timed from call to return.
+                target_accuracy: float | None = None) -> PhaseResult:
+    """Run phase k = len(phases) + 1 of a run from rest (velocities zeroed),
+    shuffling and augmenting from SeedSequence([cfg.seed, k, epoch]); its
+    PhaseResult, timed from call to return, is appended to ``phases`` and
+    returned. If the history's last row already meets target_accuracy, the
+    phase is skipped: PhaseResult(phase_name, 0, that row's valid_acc, 0.0).
 
     lr_fn maps the phase's iteration counter, which starts at 0 and runs on
     across epochs, to either a scalar rate or a per-group rate triple. It is
@@ -117,17 +122,20 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
     have not. The best starts at -inf on every call, so the first epoch
     always improves and an earlier phase's accuracy never carries over.
     """
+    if (target_accuracy is not None and history
+            and history[-1].valid_acc >= target_accuracy):
+        phases.append(PhaseResult(phase_name, 0, history[-1].valid_acc, 0.0))
+        return phases[-1]
     phase_start = time.perf_counter()
     model.zero_velocity()
+    first_row = len(history)
     best_acc = -math.inf
     stale_epochs = 0
     t = 0
-    epochs_run = 0
-    final_acc = float("nan")
     for epoch in range(cfg.max_epochs):
         start_time = time.perf_counter()
         rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, phase_index, epoch]))
+            np.random.SeedSequence([cfg.seed, len(phases) + 1, epoch]))
         loss_sum = 0.0
         epoch_lr = None
         for idx in iterate_minibatches(len(train_x), cfg.batch_size, rng):
@@ -143,14 +151,10 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
             loss_sum += loss * len(idx)
             t += 1
         valid_loss, valid_acc = evaluate(model, valid_x, valid_y)
-        seconds = time.perf_counter() - start_time
-        epochs_run += 1
-        final_acc = valid_acc
-        if history is not None:
-            history.append(EpochRecord(
-                epoch=len(history), phase=phase_name,
-                lr=float(epoch_lr), train_loss=loss_sum / len(train_x),
-                valid_loss=valid_loss, valid_acc=valid_acc, seconds=seconds))
+        history.append(EpochRecord(
+            epoch=len(history), phase=phase_name, lr=float(epoch_lr),
+            train_loss=loss_sum / len(train_x), valid_loss=valid_loss,
+            valid_acc=valid_acc, seconds=time.perf_counter() - start_time))
         if target_accuracy is not None and valid_acc >= target_accuracy:
             break
         if patience is None:
@@ -161,5 +165,7 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
             stale_epochs += 1
             if stale_epochs > patience:
                 break
-    return PhaseResult(phase_name, epochs_run, final_acc,
-                       time.perf_counter() - phase_start)
+    phases.append(PhaseResult(phase_name, len(history) - first_row,
+                              history[-1].valid_acc,
+                              time.perf_counter() - phase_start))
+    return phases[-1]

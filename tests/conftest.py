@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lrbench.train
 from lrbench.nn import Dense, Model, backward, forward, sgd_step
 
 
@@ -33,6 +34,21 @@ def quadratic_model(seed=0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def epoch_seeds(monkeypatch):
+    """The SeedSequence entropy of every epoch train_phase runs, in order:
+    the generator it hands to iterate_minibatches once per epoch."""
+    seeds = []
+    real = lrbench.train.iterate_minibatches
+
+    def recorded(n_samples, batch_size, rng):
+        seeds.append(list(rng.bit_generator.seed_seq.entropy))
+        return real(n_samples, batch_size, rng)
+
+    monkeypatch.setattr(lrbench.train, "iterate_minibatches", recorded)
+    return seeds
 
 
 def penalized_loss(model, x, y, weight_decay=0.0):

@@ -255,6 +255,24 @@ class TestPipelines:
         assert outputs[0][0]
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("pipeline, streams", [
+        (run_conventional, {"fixed_lr1": 1, "fixed_lr2": 2}),
+        (run_optimized, {"head_sgdr": 2, "dlr_clm": 3}),
+    ])
+    def test_phase_k_draws_seed_stream_k(self, epoch_seeds, pipeline,
+                                         streams):
+        # the range test is the optimized run's phase 1; noisy blobs, an
+        # unreachable target and patience 0 with min_delta 1 make every
+        # phase run two epochs
+        cfg = tiny_config(seed=7, blobs_noise=1.0, lr1=1e-3, lr2=1e-4,
+                          head_epochs=2, patience=0, min_delta=1.0,
+                          target_accuracy=0.99)
+        report = pipeline(cfg)
+        assert [r.phase for r in report.history] == [
+            name for name in streams for _ in range(2)]
+        assert epoch_seeds == [[7, k, epoch] for k in streams.values()
+                               for epoch in range(2)]
+
     def test_reached_consistent_with_target(self):
         cfg = tiny_config()
         report = run_conventional(cfg)

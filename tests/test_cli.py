@@ -254,6 +254,14 @@ class TestTrainCommand:
                     "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().out.splitlines()[-1].endswith(outcome)
 
+    def test_its_one_phase_draws_seed_stream_1(self, tmp_path, epoch_seeds):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("n_per_class = 20\nmax_epochs = 3\nseed = 5\n"
+                       "eta_max = 0.0001\ntarget_accuracy = 0.99\n")
+        assert run(["train", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert epoch_seeds == [[5, 1, epoch] for epoch in range(3)]
+
 
 class TestBenchmarkCommand:
     def test_writes_both_report_sets(self, tmp_path, tiny_config_file, capsys):
@@ -311,6 +319,8 @@ class TestExitCodes:
         ("benchmark", "finder_hi", "inf"),
         ("benchmark", "min_delta", "nan"),
         ("benchmark", "blobs_noise", "-1"),
+        ("train", "seed", "-1"),
+        ("schedule-dump", "seed", "-1"),
     ])
     def test_non_finite_or_negative_value_exits_2_naming_key(
             self, tmp_path, capsys, command, key, value):

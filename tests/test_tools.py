@@ -58,3 +58,8 @@ class TestCompare:
         after = write_dump("after.json", {"blobs-mlp 1 optimized": report()})
         assert seeded_outputs.compare(before, after) == 1
         assert "different seeds" in capsys.readouterr().out
+
+
+def test_set_names_hold_no_space():
+    # compare groups reports by the first word of their key
+    assert all(" " not in name for name in seeded_outputs.SETS)

@@ -9,8 +9,9 @@ from lrbench.errors import ConfigError
 from lrbench.nn import (Dense, Flatten, Model, build_mlp, forward,
                         softmax_cross_entropy)
 from lrbench import train
-from lrbench.train import (TrainConfig, batches_per_epoch, evaluate,
-                           iterate_minibatches, train_phase)
+from lrbench.train import (EpochRecord, PhaseResult, TrainConfig,
+                           batches_per_epoch, evaluate, iterate_minibatches,
+                           train_phase)
 
 
 def blob_setup(seed=0, n_per_class=20):
@@ -41,6 +42,8 @@ class TestTrainConfig:
             TrainConfig(weight_decay=-1e-4)
         with pytest.raises(ConfigError):
             TrainConfig(precision="f16")
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
 
 
 def scripted_phase(monkeypatch, accuracies, history=None, **stopping):
@@ -51,9 +54,9 @@ def scripted_phase(monkeypatch, accuracies, history=None, **stopping):
     model, ds = blob_setup(n_per_class=2)
     result = train_phase(
         model, ds.images, ds.labels, ds.images, ds.labels,
-        phase_name="p", phase_index=1, lr_fn=lambda t: 0.0,
-        cfg=TrainConfig(max_epochs=len(accuracies)), history=history,
-        **stopping)
+        phase_name="p", phases=[], lr_fn=lambda t: 0.0,
+        cfg=TrainConfig(max_epochs=len(accuracies)),
+        history=[] if history is None else history, **stopping)
     return result.epochs_run
 
 
@@ -147,7 +150,8 @@ class TestTrainPhase:
         cfg = TrainConfig(batch_size=16, seed=0, max_epochs=5)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phase_index=1, lr_fn=lambda t: 0.05, cfg=cfg)
+            phase_name="p", phases=[], lr_fn=lambda t: 0.05, cfg=cfg,
+            history=[])
         assert result.epochs_run == 5
         assert result.final_valid_acc > 0.9
 
@@ -158,7 +162,7 @@ class TestTrainPhase:
             cfg = TrainConfig(batch_size=8, seed=3, max_epochs=3)
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                        phase_name="p", phase_index=1, lr_fn=lambda t: 0.02,
+                        phase_name="p", phases=[], lr_fn=lambda t: 0.02,
                         cfg=cfg, history=history)
             histories.append([(r.train_loss, r.valid_loss, r.valid_acc)
                               for r in history])
@@ -169,8 +173,8 @@ class TestTrainPhase:
         cfg = TrainConfig(batch_size=16, seed=0, max_epochs=50)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phase_index=1, lr_fn=lambda t: 0.05, cfg=cfg,
-            target_accuracy=0.95)
+            phase_name="p", phases=[], lr_fn=lambda t: 0.05, cfg=cfg,
+            history=[], target_accuracy=0.95)
         assert result.epochs_run < 50
         assert result.final_valid_acc >= 0.95
 
@@ -180,23 +184,25 @@ class TestTrainPhase:
         # zero learning rate: accuracy never moves after the first epoch
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phase_index=1, lr_fn=lambda t: 0.0, cfg=cfg,
-            target_accuracy=0.95, patience=1)
+            phase_name="p", phases=[], lr_fn=lambda t: 0.0, cfg=cfg,
+            history=[], target_accuracy=0.95, patience=1)
         assert result.epochs_run == 3  # first improves, then patience+1 plateaus
         assert result.final_valid_acc < 0.95
 
     def test_result_matches_history(self):
         model, ds = blob_setup()
         cfg = TrainConfig(batch_size=16, seed=0, max_epochs=50)
-        history = []
+        phases, history = [], []
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                    phase_name="warm", phase_index=1, lr_fn=lambda t: 0.01,
+                    phase_name="warm", phases=phases, lr_fn=lambda t: 0.01,
                     cfg=replace(cfg, max_epochs=2), history=history)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phase_index=2, lr_fn=lambda t: 0.05, cfg=cfg,
-            target_accuracy=0.95, history=history)
+            phase_name="p", phases=phases, lr_fn=lambda t: 0.05, cfg=cfg,
+            history=history, target_accuracy=0.95)
         rows = history[2:]
+        assert [p.name for p in phases] == ["warm", "p"]
+        assert phases[-1] is result
         assert result.name == "p"
         assert result.epochs_run == len(rows) > 0
         assert result.final_valid_acc == rows[-1].valid_acc
@@ -214,7 +220,7 @@ class TestTrainPhase:
             cfg = TrainConfig(batch_size=16, seed=4, max_epochs=2)
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                        phase_name="p", phase_index=1, lr_fn=lambda t: 0.02,
+                        phase_name="p", phases=[], lr_fn=lambda t: 0.02,
                         cfg=cfg, history=history)
             histories.append([(r.train_loss, r.valid_loss, r.valid_acc)
                               for r in history])
@@ -230,7 +236,8 @@ class TestTrainPhase:
             return 0.01
 
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                    phase_name="p", phase_index=1, lr_fn=lr_fn, cfg=cfg)
+                    phase_name="p", phases=[], lr_fn=lr_fn, cfg=cfg,
+                    history=[])
         assert seen == list(range(3 * 4))
 
     def test_history_rows(self):
@@ -238,10 +245,10 @@ class TestTrainPhase:
         # phase appending to it numbers on from the first
         model, ds = blob_setup()
         cfg = TrainConfig(batch_size=16, seed=0)
-        history = []
+        phases, history = [], []
         for name, lr, epochs in (("warm", 0.03, 2), ("cool", 0.01, 3)):
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                        phase_name=name, phase_index=2,
+                        phase_name=name, phases=phases,
                         lr_fn=lambda t, lr=lr: lr,
                         cfg=replace(cfg, max_epochs=epochs), history=history)
         assert [r.epoch for r in history] == [0, 1, 2, 3, 4]
@@ -255,7 +262,7 @@ class TestTrainPhase:
         cfg = TrainConfig(batch_size=16, seed=0, max_epochs=1)
         history = []
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                    phase_name="p", phase_index=1,
+                    phase_name="p", phases=[],
                     lr_fn=lambda t: (1e-4, 1e-3, 1e-2), cfg=cfg,
                     history=history)
         assert history[0].lr == 1e-2
@@ -268,7 +275,54 @@ class TestTrainPhase:
                               max_epochs=1)
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                        phase_name="p", phase_index=1, lr_fn=lambda t: 0.02,
+                        phase_name="p", phases=[], lr_fn=lambda t: 0.02,
                         cfg=cfg, history=history)
             losses.append(history[0].train_loss)
         assert losses[0] != losses[1]
+
+
+class TestSkipWhenMet:
+    EARLIER = PhaseResult("earlier", 3, 0.9, 1.5)
+
+    def met_history(self):
+        return [EpochRecord(epoch=0, phase="earlier", lr=0.1, train_loss=1.0,
+                            valid_loss=1.0, valid_acc=0.9, seconds=0.5)]
+
+    def test_met_target_skips_the_phase(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a skipped phase trains or evaluates")
+
+        monkeypatch.setattr(train, "evaluate", never)
+        model, ds = blob_setup(n_per_class=2)
+        for layer in model.param_layers():
+            for v in layer.vel:
+                v[...] = 0.5
+        phases, history = [self.EARLIER], self.met_history()
+        result = train_phase(
+            model, ds.images, ds.labels, ds.images, ds.labels,
+            phase_name="p", phases=phases, lr_fn=never, cfg=TrainConfig(),
+            history=history, target_accuracy=0.9)
+        assert result == PhaseResult("p", 0, 0.9, 0.0)
+        assert phases == [self.EARLIER, result]
+        assert history == self.met_history()
+        assert all((v == 0.5).all() for layer in model.param_layers()
+                   for v in layer.vel)
+
+    @pytest.mark.parametrize("target, rows", [
+        (None, 1),  # no target: nothing to skip on
+        (0.9, 0),   # no earlier row
+        (0.95, 1),  # the earlier row misses the target
+    ])
+    def test_phase_without_a_met_target_runs(self, target, rows):
+        model, ds = blob_setup(n_per_class=2)
+        steps = []
+        phases, history = [self.EARLIER], self.met_history()[:rows]
+        result = train_phase(
+            model, ds.images, ds.labels, ds.images, ds.labels,
+            phase_name="p", phases=phases,
+            lr_fn=lambda t: steps.append(t) or 0.01,
+            cfg=TrainConfig(max_epochs=1), history=history,
+            target_accuracy=target)
+        assert result.epochs_run == 1 and steps == [0]
+        assert phases == [self.EARLIER, result]
+        assert [r.phase for r in history] == ["earlier"] * rows + ["p"]

@@ -7,13 +7,13 @@ source trees can be compared exactly.
 Run it from the repository root. The first form imports lrbench from
 SRC_DIR (for example ``src``, or the ``src`` of a second checkout) and the
 workload configs from ``perfbench/workloads.py``, runs ``run_conventional``
-and ``run_optimized`` on each input seed of SEEDS and writes, per report:
-the history without its seconds column, the confusion matrix, ``reached``,
-each phase's name, epochs and accuracy, ``eta_max`` and every range-test
-trace the pipeline produced. Wall times are left out. BLAS runs on one
+and ``run_optimized`` on each input seed of each set in SETS and writes, per
+report: the history without its seconds column, the confusion matrix,
+``reached``, each phase's name, epochs and accuracy, ``eta_max`` and every
+range-test trace the pipeline produced. Wall times are left out. BLAS runs on one
 thread, as in the benchmark, so that float sums do not depend on the host.
 
-The second form prints, per workload, how many seed/pipeline reports
+The second form prints, per set, how many seed/pipeline reports
 differ, and for each one which fields differ, with eta_max, epochs and
 reached on both sides, and the epoch and phase of the first history row that
 differs. It exits 1 when any report differs.
@@ -25,13 +25,23 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SEEDS = {
-    "blobs-mlp": range(0, 3),
-    "cifar-mlp": range(100000, 100030),
-    "cifar-cnn": range(100000, 100012),
+# set name -> (workload, input seeds, BenchConfig fields replaced). A set
+# name holds no space: compare groups reports by their first word. The
+# workloads' own cifar configs set patience to the whole budget, and on
+# these seeds conventional's first phase always ends at the target, so
+# early stopping and fixed_lr2 only run in the patience0 sets.
+SETS = {
+    "blobs-mlp": ("blobs-mlp", range(0, 3), {}),
+    "cifar-mlp": ("cifar-mlp", range(100000, 100030), {}),
+    "cifar-cnn": ("cifar-cnn", range(100000, 100012), {}),
+    "cifar-mlp/patience0": ("cifar-mlp", range(100000, 100030),
+                            {"patience": 0}),
+    "cifar-cnn/patience0": ("cifar-cnn", range(100000, 100012),
+                            {"patience": 0}),
 }
 PIPELINES = ("conventional", "optimized")
 
@@ -69,9 +79,10 @@ def dump(src_dir: Path, out_path: Path) -> None:
     lrbench.bench.range_test = recorded
     outputs = {}
     with tempfile.TemporaryDirectory() as data_dir:
-        for name, seeds in SEEDS.items():
+        for name, (workload, seeds, fields) in SETS.items():
             for seed in seeds:
-                cfg = WORKLOADS[name].config(seed, Path(data_dir))
+                cfg = replace(WORKLOADS[workload].config(seed, Path(data_dir)),
+                              **fields)
                 data = lrbench.bench.load_bench_dataset(cfg)
                 for label in PIPELINES:
                     traces.clear()
@@ -109,13 +120,13 @@ def compare(before_path: Path, after_path: Path) -> int:
         # compared as JSON text, so that NaN losses compare equal
         fields = [f for f in before[key]
                   if json.dumps(before[key][f]) != json.dumps(after[key][f])]
-        workload = key.split()[0]
-        differ.setdefault(workload, [])
+        name = key.split()[0]
+        differ.setdefault(name, [])
         if fields:
-            differ[workload].append((key, fields))
-    for workload, rows in differ.items():
-        total = sum(1 for key in before if key.startswith(workload + " "))
-        print(f"{workload}: {len(rows)} of {total} reports differ")
+            differ[name].append((key, fields))
+    for name, rows in differ.items():
+        total = sum(1 for key in before if key.startswith(name + " "))
+        print(f"{name}: {len(rows)} of {total} reports differ")
         for key, fields in rows:
             sides = []
             for out in (before[key], after[key]):
