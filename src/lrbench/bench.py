@@ -136,8 +136,7 @@ def load_bench_dataset(cfg: BenchConfig) -> tuple[Dataset, Dataset]:
 
 def build_model(cfg: BenchConfig, input_shape: tuple, n_classes: int) -> Model:
     builder = build_mlp if cfg.model == "mlp" else build_cnn
-    return builder(input_shape, n_classes, dtype=cfg.train.dtype,
-                   seed=cfg.train.seed)
+    return builder(input_shape, n_classes, seed=cfg.train.seed)
 
 
 def predictions(model: Model, x: np.ndarray) -> np.ndarray:
@@ -231,7 +230,7 @@ def run_optimized(cfg: BenchConfig,
     body fixed; (3) fine-tune the whole model with per-group rates under
     doubling cycles until early stopping or the accuracy target. Phase 1's
     accuracy is the untrained head's on the cached validation features,
-    which in f32 equals the full model's. Validation accuracy is checked
+    which equals the full model's. Validation accuracy is checked
     after every epoch in phases 2 and 3; reaching the target ends the
     pipeline: train_phase skips phase 3 (0 epochs) after a head that
     already meets it. Phases 2 and 3 draw seed streams 2 and 3.

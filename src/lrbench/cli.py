@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, help="RNG seed override")
             sp.add_argument("--dataset", help="blobs or cifar10:PATH")
             sp.add_argument("--model", choices=("mlp", "cnn"))
-            sp.add_argument("--precision", choices=("f32", "f64"))
 
     add_config(sub.add_parser("lr-find",
                               help="suggest the head's peak learning rate"))
@@ -71,7 +70,7 @@ def _bench_config(args):
     raw = parse_config_file(args.config) if args.config else {}
     # schedule-dump takes --config alone
     overrides = {key: getattr(args, key, None)
-                 for key in ("dataset", "model", "seed", "precision")}
+                 for key in ("dataset", "model", "seed")}
     return build_bench_config(raw, overrides)
 
 

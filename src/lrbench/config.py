@@ -44,7 +44,6 @@ def _finite(value) -> float:
 _SCHEMA = {
     "dataset": (str, "bench", "dataset"),
     "model": (str, "bench", "model"),
-    "precision": (str, "train", "precision"),
     "seed": (int, "train", "seed"),
     "batch_size": (int, "train", "batch_size"),
     "momentum": (_finite, "train", "momentum"),

@@ -60,22 +60,19 @@ def head_model(model: Model) -> Model:
 def precompute_features(model: Model, images) -> np.ndarray:
     """One deterministic pass of ``images`` through the body (every layer
     below the final group); returns the final group's input activations,
-    one f32 row per image.
+    one row per image, in the model's dtype.
 
     No augmentation happens here. The features hold while the body does not
-    change, as when only head_model(model) trains on them. In f32 mode, head
-    logits computed from them are bit-identical to full forward passes.
-    Raises FloatingPointError on non-finite features, including float64
-    activations that overflow the f32 cast; a non-finite activation in any
+    change, as when only head_model(model) trains on them. Head logits
+    computed from them are bit-identical to full forward passes. Raises
+    FloatingPointError on non-finite features; a non-finite activation in any
     body layer carries through to them.
     """
     body = Model(model.layers[:_head_start(model)], dtype=model.dtype)
     out = predict(body, images)
-    with np.errstate(over="ignore"):
-        features = out.reshape(len(out), -1).astype(np.float32)
-    if not np.isfinite(features).all():
+    if not np.isfinite(out).all():
         raise FloatingPointError("non-finite cached features")
-    return features
+    return out.reshape(len(out), -1)
 
 
 def group_lr_at(t_global: int, rates: LayerGroupRates,

@@ -2,8 +2,9 @@
 
 Dense and small convolutional layers with hand-derived gradients, softmax
 cross-entropy (plus an MSE mode for quadratic fixtures), and SGD with momentum
-and coupled L2 weight decay. Everything runs on numpy in float32 or float64;
-float64 exists so gradient checks have headroom, benchmarks run float32.
+and coupled L2 weight decay. Everything runs on numpy in float32 or float64:
+float64 layers exist so the finite-difference gradient checks have headroom,
+while the CLI and the benchmark build float32 models.
 
 A Model instance is single-owner while training: forward/backward/sgd_step
 mutate its gradient and parameter buffers in place.
@@ -33,10 +34,7 @@ __all__ = [
     "softmax_cross_entropy",
     "build_mlp",
     "build_cnn",
-    "DTYPES",
 ]
-
-DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
 class ShapeError(ValueError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import augment_batch
 from .errors import ConfigError
-from .nn import DTYPES, Model, predict, softmax_cross_entropy, train_step
+from .nn import Model, predict, softmax_cross_entropy, train_step
 
 __all__ = [
     "TrainConfig",
@@ -35,7 +35,6 @@ class TrainConfig:
     weight_decay: float = 0.0
     max_epochs: int = 50
     seed: int = 0
-    precision: str = "f32"
     augment: bool = False
 
     def __post_init__(self) -> None:
@@ -49,14 +48,6 @@ class TrainConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.precision not in DTYPES:
-            raise ConfigError(
-                f"precision must be one of {sorted(DTYPES)}, got {self.precision!r}"
-            )
-
-    @property
-    def dtype(self):
-        return DTYPES[self.precision]
 
 
 def batches_per_epoch(n_samples: int, batch_size: int) -> int:
@@ -100,7 +91,7 @@ class PhaseResult:
 def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
                 phase_name: str, phases: list[PhaseResult], lr_fn,
                 cfg: TrainConfig, history: list[EpochRecord],
-                patience: int | None = None, min_delta: float = 0.0,
+                patience: int, min_delta: float = 0.0,
                 target_accuracy: float | None = None) -> PhaseResult:
     """Run phase k = len(phases) + 1 of a run from rest (velocities zeroed),
     shuffling and augmenting from SeedSequence([cfg.seed, k, epoch]); its
@@ -116,11 +107,12 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
     numbers its epochs on from the rows already there. The phase ends after
     cfg.max_epochs epochs, as soon as validation accuracy meets
     target_accuracy (so it met the target exactly when its final accuracy
-    does), or by early stopping. Unless patience is None, an epoch whose
-    accuracy beats the phase's best so far by more than min_delta becomes
-    the new best; the phase stops once more than `patience` epochs in a row
-    have not. The best starts at -inf on every call, so the first epoch
-    always improves and an earlier phase's accuracy never carries over.
+    does), or by early stopping: an epoch whose accuracy beats the phase's
+    best so far by more than min_delta becomes the new best, and the phase
+    stops once more than `patience` epochs in a row have not, so patience
+    cfg.max_epochs never stops it. The best starts at -inf on every call, so
+    the first epoch always improves and an earlier phase's accuracy never
+    carries over.
     """
     if (target_accuracy is not None and history
             and history[-1].valid_acc >= target_accuracy):
@@ -157,8 +149,6 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
             valid_acc=valid_acc, seconds=time.perf_counter() - start_time))
         if target_accuracy is not None and valid_acc >= target_accuracy:
             break
-        if patience is None:
-            continue
         if valid_acc > best_acc + min_delta:
             best_acc, stale_epochs = valid_acc, 0
         else:

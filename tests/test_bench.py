@@ -80,11 +80,10 @@ class TestBuildModel:
         cnn = build_model(tiny_config(model="cnn"), (3, 8, 8), 3)
         assert isinstance(mlp.param_layers()[0], Dense)
         assert isinstance(cnn.param_layers()[0], Conv2d)
-
-    def test_precision_flows_through(self):
-        cfg = tiny_config(train=TrainConfig(precision="f64"))
-        model = build_model(cfg, (3, 8, 8), 3)
-        assert model.dtype == np.float64
+        for model in (mlp, cnn):
+            assert model.dtype == np.float32
+            assert all(p.dtype == np.float32
+                       for layer in model.param_layers() for p in layer.params)
 
 
 class TestSpeedup:

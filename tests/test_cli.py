@@ -1,13 +1,15 @@
 import csv
 import io
 import math
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from lrbench.bench import BenchConfig, build_model, load_bench_dataset
 from lrbench.cli import main, run
-from lrbench.config import CONFIG_KEYS, build_bench_config, parse_config_file
+from lrbench.config import (_SCHEMA, CONFIG_KEYS, build_bench_config,
+                            parse_config_file)
 from lrbench.errors import ConfigError
 from lrbench.finder import (LRFinderTrace, range_test, suggest_lr,
                             write_trace_csv)
@@ -127,6 +129,21 @@ class TestBuildBenchConfig:
     def test_every_key_has_a_caster(self):
         for key, caster in CONFIG_KEYS.items():
             assert callable(caster), key
+
+    def test_schema_sets_each_config_field_once(self):
+        # the schema's (destination, field) pairs are the leaf fields of
+        # BenchConfig: its own plain fields under "bench", and the fields of
+        # each nested config under the name BenchConfig gives it
+        defaults = BenchConfig()
+        leaves = []
+        for f in fields(BenchConfig):
+            value = getattr(defaults, f.name)
+            if is_dataclass(value):
+                leaves += [(f.name, g.name) for g in fields(value)]
+            else:
+                leaves.append(("bench", f.name))
+        pairs = [(part, name) for _, part, name in _SCHEMA.values()]
+        assert sorted(pairs) == sorted(leaves)
 
 
 class TestScheduleDump:
@@ -356,11 +373,14 @@ class TestExitCodes:
         assert len(errors) == 1 and "n_per_class" in errors[0]
 
     def test_blobs_per_class_is_an_unknown_key(self, tmp_path, capsys):
-        # n_per_class sizes blobs and cifar10 alike
+        # n_per_class sizes blobs and cifar10 alike; precision went the same
+        # way: the CLI and the benchmark build float32 models
         cfg = tmp_path / "old.cfg"
-        cfg.write_text("blobs_per_class = 40\n")
-        assert run(["train", "--config", str(cfg)]) == 2
-        assert "unknown key 'blobs_per_class'" in capsys.readouterr().err
+        for line in ("blobs_per_class = 40", "precision = f64"):
+            cfg.write_text(line + "\n")
+            assert run(["train", "--config", str(cfg)]) == 2
+            key = line.split()[0]
+            assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["train", "--config", str(tmp_path / "none.cfg")]) == 2
@@ -396,6 +416,9 @@ class TestExitCodes:
         ["confusion", "--dataset", "blobs"],
         ["schedule-dump", "--seed", "7"],
         ["schedule-dump", "--model", "cnn"],
+        ["lr-find", "--precision", "f64"],
+        ["train", "--precision", "f64"],
+        ["benchmark", "--precision", "f64"],
     ])
     def test_flag_the_command_does_not_read_exits_2(self, tmp_path, capsys,
                                                      argv):

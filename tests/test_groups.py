@@ -5,7 +5,7 @@ from lrbench.data import make_blobs
 from lrbench.groups import (LayerGroupRates, group_lr_at, head_model,
                             precompute_features)
 from lrbench.nn import (Dense, Model, ReLU, ShapeError, build_cnn, build_mlp,
-                        forward, train_step)
+                        forward, predict, train_step)
 from lrbench.schedule import CosineCycleConfig, lr_at
 
 
@@ -98,8 +98,21 @@ class TestPrecomputeFeatures:
         out = np.asarray(ds.images, dtype=model.dtype)
         for layer in model.layers[:-1]:
             out, _ = layer.forward(out)
-        np.testing.assert_array_equal(
-            features, out.reshape(len(ds), -1).astype(np.float32))
+        np.testing.assert_array_equal(features, out.reshape(len(ds), -1))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("builder", [build_mlp, build_cnn],
+                             ids=["mlp", "cnn"])
+    def test_cache_keeps_the_model_dtype(self, builder, dtype):
+        # a cast of the features to another dtype would round the head's
+        # inputs, so its logits would drift from the full model's
+        model = builder((3, 8, 8), 3, dtype=dtype, seed=0)
+        x = make_blobs(n_per_class=10, seed=1).images
+        features = precompute_features(model, x)
+        assert features.dtype == model.dtype
+        assert np.array_equal(predict(head_model(model), features),
+                              predict(model, x))
 
     def test_cached_head_logits_match_full_forward_f32(self):
         model = build_mlp((3, 8, 8), 3)
@@ -141,14 +154,6 @@ class TestPrecomputeFeatures:
         a, _ = forward(Model(model.layers[:-1]), ds.images)
         b = precompute_features(model, ds.images)
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
-
-    def test_f32_cast_overflow_raises(self):
-        # float64 body activations that are finite but overflow the f32 cast
-        layers = [Dense(2, 2, dtype=np.float64) for _ in range(3)]
-        layers[0].W[...] = 1e200
-        model = Model(layers, dtype=np.float64)
-        with pytest.raises(FloatingPointError, match="non-finite"):
-            precompute_features(model, np.ones((4, 2)))
 
     def test_first_layer_overflow_raises_f32(self):
         # inf out of the first layer turns into inf or nan further up, so

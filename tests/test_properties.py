@@ -105,7 +105,6 @@ def config_values(draw):
     return {
         "dataset": draw(st.sampled_from(["blobs", "cifar10:data/batch 1.bin"])),
         "model": draw(st.sampled_from(["mlp", "cnn"])),
-        "precision": draw(st.sampled_from(["f32", "f64"])),
         "seed": draw(st.integers(0, 2**31)),
         "batch_size": draw(st.integers(1, 512)),
         "momentum": draw(unit),
@@ -156,7 +155,7 @@ class TestConfigProperties:
             train=TrainConfig(
                 batch_size=v["batch_size"], momentum=v["momentum"],
                 weight_decay=v["weight_decay"], max_epochs=v["max_epochs"],
-                seed=v["seed"], precision=v["precision"], augment=v["augment"]),
+                seed=v["seed"], augment=v["augment"]),
             sched=CosineCycleConfig(eta_max=v["eta_max"], t0=v["t0"],
                                     eta_min=v["eta_min"], mult=v["mult"]),
             rates=LayerGroupRates(v["rate_initial"], v["rate_mid"],

@@ -1,11 +1,14 @@
-"""README.md stays true: its Python examples run and its config-key table
-lists exactly the keys the config parser accepts."""
+"""README.md stays true: its Python examples run, its config-key table
+lists exactly the keys the config parser accepts and its CLI section names
+exactly the flags the parser accepts."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
+from lrbench.cli import build_parser
 from lrbench.config import CONFIG_KEYS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -28,3 +31,16 @@ def test_config_table_lists_exactly_the_config_keys():
     keys = [key for row in rows
             for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert sorted(keys) == sorted(CONFIG_KEYS)
+
+
+def test_cli_section_names_exactly_the_parser_flags():
+    # the section ends at the next level-2 heading, so Install's pip flags
+    # stay out
+    section = README.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {option for sub in subparsers.choices.values()
+             for action in sub._actions for option in action.option_strings
+             if option.startswith("--")}
+    assert documented == flags - {"--help"}

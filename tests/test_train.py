@@ -24,10 +24,6 @@ class TestTrainConfig:
     def test_defaults_valid(self):
         cfg = TrainConfig()
         assert cfg.batch_size == 32
-        assert cfg.dtype == np.float32
-
-    def test_precision_maps_to_dtype(self):
-        assert TrainConfig(precision="f64").dtype == np.float64
 
     def test_rejections(self):
         with pytest.raises(ConfigError):
@@ -40,8 +36,6 @@ class TestTrainConfig:
             TrainConfig(momentum=-0.1)
         with pytest.raises(ConfigError):
             TrainConfig(weight_decay=-1e-4)
-        with pytest.raises(ConfigError):
-            TrainConfig(precision="f16")
         with pytest.raises(ConfigError, match="seed"):
             TrainConfig(seed=-1)
 
@@ -151,7 +145,7 @@ class TestTrainPhase:
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
             phase_name="p", phases=[], lr_fn=lambda t: 0.05, cfg=cfg,
-            history=[])
+            history=[], patience=cfg.max_epochs)
         assert result.epochs_run == 5
         assert result.final_valid_acc > 0.9
 
@@ -163,7 +157,7 @@ class TestTrainPhase:
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                         phase_name="p", phases=[], lr_fn=lambda t: 0.02,
-                        cfg=cfg, history=history)
+                        cfg=cfg, history=history, patience=cfg.max_epochs)
             histories.append([(r.train_loss, r.valid_loss, r.valid_acc)
                               for r in history])
         assert histories[0] == histories[1]
@@ -174,7 +168,7 @@ class TestTrainPhase:
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
             phase_name="p", phases=[], lr_fn=lambda t: 0.05, cfg=cfg,
-            history=[], target_accuracy=0.95)
+            history=[], patience=cfg.max_epochs, target_accuracy=0.95)
         assert result.epochs_run < 50
         assert result.final_valid_acc >= 0.95
 
@@ -195,11 +189,12 @@ class TestTrainPhase:
         phases, history = [], []
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                     phase_name="warm", phases=phases, lr_fn=lambda t: 0.01,
-                    cfg=replace(cfg, max_epochs=2), history=history)
+                    cfg=replace(cfg, max_epochs=2), history=history,
+                    patience=cfg.max_epochs)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
             phase_name="p", phases=phases, lr_fn=lambda t: 0.05, cfg=cfg,
-            history=history, target_accuracy=0.95)
+            history=history, patience=cfg.max_epochs, target_accuracy=0.95)
         rows = history[2:]
         assert [p.name for p in phases] == ["warm", "p"]
         assert phases[-1] is result
@@ -221,7 +216,7 @@ class TestTrainPhase:
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                         phase_name="p", phases=[], lr_fn=lambda t: 0.02,
-                        cfg=cfg, history=history)
+                        cfg=cfg, history=history, patience=cfg.max_epochs)
             histories.append([(r.train_loss, r.valid_loss, r.valid_acc)
                               for r in history])
         assert histories[0] == histories[1]
@@ -237,7 +232,7 @@ class TestTrainPhase:
 
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                     phase_name="p", phases=[], lr_fn=lr_fn, cfg=cfg,
-                    history=[])
+                    history=[], patience=cfg.max_epochs)
         assert seen == list(range(3 * 4))
 
     def test_history_rows(self):
@@ -250,7 +245,8 @@ class TestTrainPhase:
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                         phase_name=name, phases=phases,
                         lr_fn=lambda t, lr=lr: lr,
-                        cfg=replace(cfg, max_epochs=epochs), history=history)
+                        cfg=replace(cfg, max_epochs=epochs), history=history,
+                        patience=cfg.max_epochs)
         assert [r.epoch for r in history] == [0, 1, 2, 3, 4]
         assert [r.phase for r in history] == ["warm"] * 2 + ["cool"] * 3
         assert [r.lr for r in history] == [0.03] * 2 + [0.01] * 3
@@ -264,7 +260,7 @@ class TestTrainPhase:
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                     phase_name="p", phases=[],
                     lr_fn=lambda t: (1e-4, 1e-3, 1e-2), cfg=cfg,
-                    history=history)
+                    history=history, patience=cfg.max_epochs)
         assert history[0].lr == 1e-2
 
     def test_augmentation_changes_training_stream(self):
@@ -276,7 +272,7 @@ class TestTrainPhase:
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
                         phase_name="p", phases=[], lr_fn=lambda t: 0.02,
-                        cfg=cfg, history=history)
+                        cfg=cfg, history=history, patience=cfg.max_epochs)
             losses.append(history[0].train_loss)
         assert losses[0] != losses[1]
 
@@ -298,10 +294,11 @@ class TestSkipWhenMet:
             for v in layer.vel:
                 v[...] = 0.5
         phases, history = [self.EARLIER], self.met_history()
+        cfg = TrainConfig()
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phases=phases, lr_fn=never, cfg=TrainConfig(),
-            history=history, target_accuracy=0.9)
+            phase_name="p", phases=phases, lr_fn=never, cfg=cfg,
+            history=history, patience=cfg.max_epochs, target_accuracy=0.9)
         assert result == PhaseResult("p", 0, 0.9, 0.0)
         assert phases == [self.EARLIER, result]
         assert history == self.met_history()
@@ -317,12 +314,12 @@ class TestSkipWhenMet:
         model, ds = blob_setup(n_per_class=2)
         steps = []
         phases, history = [self.EARLIER], self.met_history()[:rows]
+        cfg = TrainConfig(max_epochs=1)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
             phase_name="p", phases=phases,
-            lr_fn=lambda t: steps.append(t) or 0.01,
-            cfg=TrainConfig(max_epochs=1), history=history,
-            target_accuracy=target)
+            lr_fn=lambda t: steps.append(t) or 0.01, cfg=cfg,
+            history=history, patience=cfg.max_epochs, target_accuracy=target)
         assert result.epochs_run == 1 and steps == [0]
         assert phases == [self.EARLIER, result]
         assert [r.phase for r in history] == ["earlier"] * rows + ["p"]
