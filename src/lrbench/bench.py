@@ -304,26 +304,31 @@ def write_confusion_csv(path, class_names, counts: np.ndarray) -> None:
             fh.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
 
 
+def write_history_csv(path, history: list[EpochRecord]) -> None:
+    """Header ``epoch,phase,lr,train_loss,valid_loss,valid_acc,seconds``,
+    then one row per epoch record, floats written with repr."""
+    with open(path, "w") as fh:
+        fh.write("epoch,phase,lr,train_loss,valid_loss,valid_acc,seconds\n")
+        for r in history:
+            fh.write(f"{r.epoch},{r.phase},{r.lr!r},{r.train_loss!r},"
+                     f"{r.valid_loss!r},{r.valid_acc!r},{r.seconds!r}\n")
+
+
 def emit_report(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
     """Write {prefix}history.csv, {prefix}confusion.csv, {prefix}summary.txt
     and, when the report carries a range-test trace,
     {prefix}finder_trace.csv under out_dir; returns the paths written, the
     summary last.
 
-    History columns, fixed order: epoch,phase,lr,train_loss,valid_loss,
-    valid_acc,seconds. The confusion CSV carries class names as both header
-    row and first column.
+    The history CSV is write_history_csv's. The confusion CSV carries class
+    names as both header row and first column.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
 
     hist_path = out_dir / f"{prefix}history.csv"
-    with open(hist_path, "w") as fh:
-        fh.write("epoch,phase,lr,train_loss,valid_loss,valid_acc,seconds\n")
-        for r in report.history:
-            fh.write(f"{r.epoch},{r.phase},{r.lr!r},{r.train_loss!r},"
-                     f"{r.valid_loss!r},{r.valid_acc!r},{r.seconds!r}\n")
+    write_history_csv(hist_path, report.history)
     paths.append(hist_path)
 
     conf_path = out_dir / f"{prefix}confusion.csv"

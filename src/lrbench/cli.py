@@ -22,7 +22,8 @@ import numpy as np
 
 from .bench import (build_model, confusion, emit_report, finish_report,
                     load_bench_dataset, run_conventional, run_optimized,
-                    run_range_test, speedup, write_confusion_csv)
+                    run_range_test, speedup, write_confusion_csv,
+                    write_history_csv)
 from .config import build_bench_config, parse_config_file
 from .errors import ConfigError, DataError
 from .finder import NoDescentFound, suggest_lr, write_trace_csv
@@ -100,12 +101,19 @@ def cmd_train(args) -> None:
     train_ds, valid_ds = load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
     phases, history = [], []
-    phase = train_phase(
-        model, train_ds.images, train_ds.labels, valid_ds.images,
-        valid_ds.labels, phase_name="sgdr", phases=phases,
-        lr_fn=lambda t: lr_at(t, cfg.sched), cfg=cfg.train, history=history,
-        patience=cfg.patience, min_delta=cfg.min_delta,
-        target_accuracy=cfg.target_accuracy)
+    try:
+        phase = train_phase(
+            model, train_ds.images, train_ds.labels, valid_ds.images,
+            valid_ds.labels, phase_name="sgdr", phases=phases,
+            lr_fn=lambda t: lr_at(t, cfg.sched), cfg=cfg.train,
+            history=history, patience=cfg.patience, min_delta=cfg.min_delta,
+            target_accuracy=cfg.target_accuracy)
+    except FloatingPointError:
+        # keep the epochs finished before the divergence; run exits 5
+        path = _out_dir(args) / "history.csv"
+        write_history_csv(path, history)
+        print(f"wrote {path}")
+        raise
     report = finish_report(model, valid_ds, phases, history,
                            cfg.target_accuracy)
     for path in emit_report(report, _out_dir(args)):

@@ -2,9 +2,11 @@
 
 Dense and small convolutional layers with hand-derived gradients, softmax
 cross-entropy (plus an MSE mode for quadratic fixtures), and SGD with momentum
-and coupled L2 weight decay. Everything runs on numpy in float32 or float64:
-float64 layers exist so the finite-difference gradient checks have headroom,
-while the CLI and the benchmark build float32 models.
+and coupled L2 weight decay. The convolution runs on a flat padded grid of its
+input, where every kernel offset reads one contiguous shifted slice (Conv2d).
+Everything runs on numpy in float32 or float64: float64 layers exist so the
+finite-difference gradient checks have headroom, while the CLI and the
+benchmark build float32 models.
 
 A Model instance is single-owner while training: forward/backward/sgd_step
 mutate its gradient and parameter buffers in place.
@@ -99,29 +101,37 @@ class Dense(Layer):
 
 # Rows per forward call in predict; no cache outlives its slice.
 _PREDICT_ROWS = 256
-# Input rows per im2col block in Conv2d.forward: the columns are k*k times
+# Input rows per GEMM block in Conv2d.forward: the columns are k*k times
 # the input, and predict passes up to _PREDICT_ROWS rows.
 _CONV_BLOCK_ROWS = 16
 
 
-def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    """Columns of a padded (n, c, h + k - 1, w + k - 1) input, channel-major:
-    (c*k*k, n*h*w), so the gather copies rows of w contiguous elements."""
-    c = xp.shape[1]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    return win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, -1)
+def _window_shifts(k: int, width: int) -> list[int]:
+    """Where a k x k window reads on a flat padded grid whose rows are
+    ``width`` cells wide: for each kernel offset (di, dj), row-major, the
+    distance di*width + dj from the window's first cell."""
+    return [di * width + dj for di in range(k) for dj in range(k)]
 
 
 class Conv2d(Layer):
-    """3x3-style convolution, stride 1, zero padding that preserves H and W.
+    """Square convolution with an odd kernel, stride 1, zero padding that
+    preserves H and W.
 
-    Computed as im2col plus one GEMM. Forward builds the columns over
-    _CONV_BLOCK_ROWS input rows at a time; only the padded input is cached,
-    and backward rebuilds the columns.
+    Works on a channel-major flat padded grid: (c, n*(h+2p)*(w+2p)) cells
+    plus a tail that the last windows read past the end. Outputs are
+    computed at every grid cell, and the cells whose window leaves the image
+    are dropped, so the input a kernel offset meets is one contiguous slice
+    of the grid (see _window_shifts). Forward is im2col plus one GEMM per
+    _CONV_BLOCK_ROWS input rows. Only the grid is cached: backward takes
+    the weight gradient as one GEMM per kernel offset and does col2im as
+    k*k shifted adds.
     """
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int = 3,
                  dtype=np.float32, rng: np.random.Generator | None = None):
+        if ksize < 1 or ksize % 2 == 0:
+            raise ValueError(f"ksize must be odd and at least 1 for same "
+                             f"padding, got {ksize}")
         rng = rng if rng is not None else np.random.default_rng(0)
         self.ksize = ksize
         self.pad = ksize // 2
@@ -139,38 +149,56 @@ class Conv2d(Layer):
             raise ShapeError(
                 f"{self.name or 'conv'}: {x.shape[1]} channels != expected {self.W.shape[1]}"
             )
-        n, _, h, w = x.shape
-        o, p, rows = self.W.shape[0], self.pad, _CONV_BLOCK_ROWS
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        n, c, h, w = x.shape
+        o, k, p = self.W.shape[0], self.ksize, self.pad
+        hp, wp = h + 2 * p, w + 2 * p
+        cells = n * hp * wp
+        shifts = _window_shifts(k, wp)
+        xf = np.zeros((c, cells + shifts[-1]), dtype=x.dtype)
+        xf[:, :cells].reshape(c, n, hp, wp)[:, :, p:p + h, p:p + w] = \
+            x.transpose(1, 0, 2, 3)
         wm = self.W.reshape(o, -1)
-        y = np.empty((o, n * h * w), dtype=x.dtype)
-        for start in range(0, n, rows):
-            stop = min(start + rows, n)
-            np.matmul(wm, _im2col(xp[start:stop], self.ksize),
-                      out=y[:, start * h * w:stop * h * w])
+        y = np.empty((o, cells), dtype=x.dtype)
+        block = _CONV_BLOCK_ROWS * hp * wp
+        for start in range(0, cells, block):
+            length = min(block, cells - start)
+            cols = np.empty((c, k * k, length), dtype=x.dtype)
+            for i, shift in enumerate(shifts):
+                cols[:, i] = xf[:, start + shift:start + shift + length]
+            np.matmul(wm, cols.reshape(c * k * k, length),
+                      out=y[:, start:start + length])
         y += self.b[:, None]
-        return y.reshape(o, n, h, w).transpose(1, 0, 2, 3), xp
+        return y.reshape(o, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3), xf
 
     def backward(self, grad_out, cache, need_input_grad=True):
-        xp = cache
+        xf = cache
         n, o, h, w = grad_out.shape
-        k, p = self.ksize, self.pad
-        g2 = grad_out.transpose(1, 0, 2, 3).reshape(o, -1)
-        # (cols @ g2.T).T is g2 @ cols.T; OpenBLAS runs this operand order
-        # faster at these shapes
-        self.grads[0][...] = (_im2col(xp, k) @ g2.T).T.reshape(self.W.shape)
+        c, k, p = xf.shape[0], self.ksize, self.pad
+        hp, wp = h + 2 * p, w + 2 * p
+        cells = n * hp * wp
+        shifts = _window_shifts(k, wp)
+        # the output gradient on the grid, zero at the dropped cells
+        g = np.zeros((o, n, hp, wp), dtype=grad_out.dtype)
+        g[:, :, :h, :w] = grad_out.transpose(1, 0, 2, 3)
+        g2 = g.reshape(o, cells)
+        # one GEMM per kernel offset, straight from the shifted grid, so no
+        # columns are built; xf-slice @ g2.T is the operand order OpenBLAS
+        # runs faster at these shapes
+        gw = np.empty((c, k * k, o), dtype=grad_out.dtype)
+        for i, shift in enumerate(shifts):
+            np.matmul(xf[:, shift:shift + cells], g2.T, out=gw[:, i])
+        self.grads[0][...] = gw.reshape(c * k * k, o).T.reshape(self.W.shape)
         self.grads[1][...] = g2.sum(axis=1)
         if not need_input_grad:
             return None
-        # col2im: each of the k*k kernel offsets adds its slice of the column
-        # gradient into a shifted window of the padded input gradient
-        c = xp.shape[1]
-        gcols = (self.W.reshape(o, -1).T @ g2).reshape(c, k, k, n, h, w)
-        gxp = np.zeros((c, n) + xp.shape[2:], dtype=grad_out.dtype)
-        for di in range(k):
-            for dj in range(k):
-                gxp[:, :, di:di + h, dj:dj + w] += gcols[:, di, dj]
-        return gxp[:, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
+        # col2im: each kernel offset adds its rows of the column gradient
+        # into the grid gradient, shifted as forward read them
+        gcols = (self.W.reshape(o, -1).T @ g2).reshape(c, k * k, cells)
+        gxf = np.zeros_like(xf)
+        for i, shift in enumerate(shifts):
+            gxf[:, shift:shift + cells] += gcols[:, i]
+        return gxf[:, :cells].reshape(c, n, hp, wp)[
+            :, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
 
 
 class ReLU(Layer):

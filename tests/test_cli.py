@@ -403,6 +403,29 @@ class TestExitCodes:
         assert len(errors) == 1
         assert errors[0].startswith("error: training diverged: non-finite")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_divergence_keeps_the_finished_epochs(self, tmp_path,
+                                                        capsys):
+        # coupled decay with rate * weight_decay above 2 grows the weights
+        # every step, so the loss overflows a few epochs in
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("n_per_class = 40\nmax_epochs = 6\neta_max = 1.0\n"
+                       "momentum = 0.0\nweight_decay = 2.05\nt0 = 100000\n"
+                       "target_accuracy = 0.99\n")
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: training diverged: non-finite")
+        assert f"wrote {out / 'history.csv'}" in captured.out
+        with open(out / "history.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0].keys() == {"epoch", "phase", "lr", "train_loss",
+                                  "valid_loss", "valid_acc", "seconds"}
+        assert 1 <= len(rows) < 6
+        assert [int(r["epoch"]) for r in rows] == list(range(len(rows)))
+        assert all(r["phase"] == "sgdr"
+                   and math.isfinite(float(r["train_loss"])) for r in rows)
+
     def test_argparse_rejects_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

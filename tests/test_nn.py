@@ -91,15 +91,20 @@ class TestForward:
 
     def test_conv_matches_naive_loops(self):
         rng = f64_rng(5)
-        conv = Conv2d(2, 3, 3, dtype=np.float64, rng=rng)
-        conv.b[...] = rng.random(3)
-        # more rows than one im2col block, and a short last block
+        # more rows than one GEMM block, and a short last block
         rows = 19
         assert rows > _CONV_BLOCK_ROWS and rows % _CONV_BLOCK_ROWS
-        x = rng.random((rows, 2, 4, 4))
-        model = Model([conv], dtype=np.float64)
-        y, _ = forward(model, x)
-        assert np.allclose(y, conv_naive(x, conv.W, conv.b), atol=1e-12)
+        # non-square images with kernel sizes 1, 3 and 5: swapping h and w,
+        # or a grid row of the wrong width, shows here
+        for (h, w), k in [((4, 4), 3), ((6, 4), 1), ((6, 4), 3), ((6, 4), 5),
+                          ((4, 6), 1), ((4, 6), 3), ((4, 6), 5)]:
+            conv = Conv2d(2, 3, k, dtype=np.float64, rng=rng)
+            conv.b[...] = rng.random(3)
+            x = rng.random((rows, 2, h, w))
+            model = Model([conv], dtype=np.float64)
+            y, _ = forward(model, x)
+            assert y.shape == (rows, 3, h, w)
+            assert np.allclose(y, conv_naive(x, conv.W, conv.b), atol=1e-12)
 
     def test_pool_matches_naive_loops(self):
         rng = f64_rng(6)
@@ -133,6 +138,12 @@ class TestForward:
         model = Model([Conv2d(3, 4)], dtype=np.float32)
         with pytest.raises(ShapeError):
             forward(model, np.ones((1, 2, 4, 4)))
+
+    @pytest.mark.parametrize("ksize", [0, -1, 2, 4])
+    def test_conv_rejects_a_kernel_without_a_centre(self, ksize):
+        # same padding needs an odd kernel of at least 1
+        with pytest.raises(ValueError, match="ksize"):
+            Conv2d(2, 3, ksize)
 
     def test_flatten_round_trip(self):
         model = Model([Flatten()], dtype=np.float64)
@@ -240,6 +251,23 @@ class TestBackward:
                       dtype=np.float64)
         assert max_grad_rel_error(model, x, y) < 1e-4
 
+    @pytest.mark.parametrize("h,w", [(6, 4), (4, 6)])
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    def test_conv_gradients_on_non_square_grids(self, h, w, ksize):
+        # 19 rows: more than one forward block and a short last one; the
+        # second conv's input gradient reaches the first conv's weights
+        rng = f64_rng(13)
+        rows = 19
+        assert rows > _CONV_BLOCK_ROWS and rows % _CONV_BLOCK_ROWS
+        x = rng.random((rows, 2, h, w))
+        y = rng.integers(0, 2, size=rows)
+        model = Model([Conv2d(2, 3, ksize, dtype=np.float64, rng=rng), ReLU(),
+                       Conv2d(3, 2, ksize, dtype=np.float64, rng=rng),
+                       Flatten(), Dense(2 * h * w, 2, dtype=np.float64,
+                                        rng=rng)],
+                      dtype=np.float64)
+        assert max_grad_rel_error(model, x, y) < 1e-4
+
     def test_lowest_trainable_layer_skips_its_input_gradient(self):
         # every parameterized layer trains, so the lowest trainable layer is
         # the lowest parameterized one, here above a Flatten
@@ -262,7 +290,12 @@ class TestBackward:
         cases = [(Dense(6, 4, dtype=np.float64, rng=rng), rng.random((5, 6)),
                   (5, 4)),
                  (Conv2d(2, 3, 3, dtype=np.float64, rng=rng),
-                  rng.random((5, 2, 4, 4)), (5, 3, 4, 4))]
+                  rng.random((5, 2, 4, 4)), (5, 3, 4, 4)),
+                 # non-square grids over more than one forward block
+                 (Conv2d(2, 3, 5, dtype=np.float64, rng=rng),
+                  rng.random((19, 2, 6, 4)), (19, 3, 6, 4)),
+                 (Conv2d(2, 3, 1, dtype=np.float64, rng=rng),
+                  rng.random((19, 2, 4, 6)), (19, 3, 4, 6))]
         for layer, x, out_shape in cases:
             _, cache = layer.forward(x)
             g = rng.standard_normal(out_shape)

@@ -53,6 +53,25 @@ class TestCompare:
         assert "cifar-cnn 2 optimized: history;" in out
         assert "first differs at epoch 1 (dlr_clm)" in out
 
+    def test_changed_history_says_how_far_it_moved(self, write_dump, capsys):
+        moved = report(0.4)
+        moved["history"][0][3] = 1.0 + 2e-7
+        moved["history"][0][5] = 0.25
+        before = write_dump("before.json", {
+            "cifar-cnn 1 optimized": report(),
+            "cifar-cnn 2 optimized": report(float("nan"))})
+        after = write_dump("after.json", {
+            "cifar-cnn 1 optimized": moved,
+            "cifar-cnn 2 optimized": report(0.4)})
+        assert seeded_outputs.compare(before, after) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].endswith(
+            "; largest valid_acc change 0.25, largest relative train_loss "
+            "change 2e-07, valid_loss 0.2")
+        # a loss that turns finite moved without bound
+        assert lines[2].endswith("valid_loss inf")
+        assert seeded_outputs.relative_change(float("nan"), float("nan")) == 0
+
     def test_dumps_over_different_seeds(self, write_dump, capsys):
         before = write_dump("before.json", {"blobs-mlp 0 optimized": report()})
         after = write_dump("after.json", {"blobs-mlp 1 optimized": report()})

@@ -16,12 +16,17 @@ thread, as in the benchmark, so that float sums do not depend on the host.
 The second form prints, per set, how many seed/pipeline reports
 differ, and for each one which fields differ, with eta_max, epochs and
 reached on both sides, and the epoch and phase of the first history row that
-differs. It exits 1 when any report differs.
+differs. For a history that differs it also prints how far it moved over the
+rows both sides have: the largest absolute change of valid_acc and the
+largest relative change of train_loss and of valid_loss, so that a change
+in float rounding can be told apart from a change in behaviour. It exits 1
+when any report differs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -107,6 +112,28 @@ def first_history_difference(before: dict, after: dict) -> str:
     return f"; history first differs at epoch {row[0]} ({row[1]}, one side only)"
 
 
+def relative_change(a: float, b: float) -> float:
+    """|a - b| over the larger magnitude; 0 for equal values (NaN included)
+    and inf when only one side is finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def history_movement(before: dict, after: dict) -> str:
+    """How far the history moved over the rows both sides have: the largest
+    absolute change of valid_acc and the largest relative change of
+    train_loss and of valid_loss."""
+    rows = list(zip(before["history"], after["history"]))
+    acc = max((abs(a[5] - b[5]) for a, b in rows), default=0.0)
+    train, valid = (max((relative_change(a[col], b[col]) for a, b in rows),
+                        default=0.0) for col in (3, 4))
+    return (f"; largest valid_acc change {acc:.3g}, largest relative "
+            f"train_loss change {train:.3g}, valid_loss {valid:.3g}")
+
+
 def compare(before_path: Path, after_path: Path) -> int:
     with open(before_path) as fh:
         before = json.load(fh)
@@ -133,9 +160,12 @@ def compare(before_path: Path, after_path: Path) -> int:
                 epochs = sum(p[1] for p in out["phases"])
                 sides.append(f"eta_max {out['eta_max']!r}, {epochs} epochs, "
                              f"reached {out['reached']}")
+            moved = (history_movement(before[key], after[key])
+                     if "history" in fields else "")
             print(f"  {key}: {', '.join(fields)}; "
                   f"before {sides[0]}; after {sides[1]}"
-                  f"{first_history_difference(before[key], after[key])}")
+                  f"{first_history_difference(before[key], after[key])}"
+                  f"{moved}")
     return 1 if any(differ.values()) else 0
 
 
