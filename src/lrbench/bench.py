@@ -32,8 +32,8 @@ from .data import (CIFAR10_MEAN, CIFAR10_STD, Dataset, load_cifar10,
 from .errors import ConfigError
 from .finder import (LRFinderTrace, RangeTestConfig, range_test, suggest_lr,
                      write_trace_csv)
-from .groups import (LayerGroupRates, group_lr_at, head_model,
-                     precompute_features)
+from .groups import (LayerGroupRates, group_lr_at, precompute_features,
+                     split_head)
 from .nn import Model, build_cnn, build_mlp, predict
 from .schedule import CosineCycleConfig, lr_at
 from .train import (EpochRecord, PhaseResult, TrainConfig, batches_per_epoch,
@@ -143,14 +143,14 @@ def predictions(model: Model, x: np.ndarray) -> np.ndarray:
     return np.argmax(predict(model, x), axis=1)
 
 
-def run_range_test(cfg: BenchConfig, model: Model, features: np.ndarray,
+def run_range_test(cfg: BenchConfig, head: Model, features: np.ndarray,
                    labels: np.ndarray) -> LRFinderTrace:
-    """The configured range test on the head view of ``model``, over the
+    """The configured range test on the head view (split_head), over the
     training split's cached head inputs (precompute_features), probing at
     finder_batch, or at the training batch size when that is unset.
     range_test steps a copy of the head view, so the model is left
     unchanged."""
-    return range_test(head_model(model), (features, labels), cfg.finder,
+    return range_test(head, (features, labels), cfg.finder,
                       rng_seed=cfg.train.seed,
                       batch_size=cfg.finder_batch or cfg.train.batch_size)
 
@@ -242,10 +242,10 @@ def run_optimized(cfg: BenchConfig,
     history: list[EpochRecord] = []
 
     start = time.perf_counter()
-    train_feats = precompute_features(model, train_ds.images)
-    valid_feats = precompute_features(model, valid_ds.images)
-    head = head_model(model)
-    trace = run_range_test(cfg, model, train_feats, train_ds.labels)
+    body, head = split_head(model)
+    train_feats = precompute_features(body, train_ds.images)
+    valid_feats = precompute_features(body, valid_ds.images)
+    trace = run_range_test(cfg, head, train_feats, train_ds.labels)
     eta_max = suggest_lr(trace)
     _, acc0 = evaluate(head, valid_feats, valid_ds.labels)
     phases = [PhaseResult("range_test", 0, acc0, time.perf_counter() - start)]

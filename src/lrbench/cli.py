@@ -27,7 +27,7 @@ from .bench import (build_model, confusion, emit_report, finish_report,
 from .config import build_bench_config, parse_config_file
 from .errors import ConfigError, DataError
 from .finder import NoDescentFound, suggest_lr, write_trace_csv
-from .groups import precompute_features
+from .groups import precompute_features, split_head
 from .schedule import dump_schedule, lr_at, write_schedule_csv
 from .train import train_phase
 
@@ -85,8 +85,8 @@ def cmd_lr_find(args) -> None:
     cfg = _bench_config(args)
     train_ds, _ = load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
-    trace = run_range_test(cfg, model,
-                           precompute_features(model, train_ds.images),
+    body, head = split_head(model)
+    trace = run_range_test(cfg, head, precompute_features(body, train_ds.images),
                            train_ds.labels)
     trace_path = _out_dir(args) / "finder_trace.csv"
     with open(trace_path, "w") as fh:

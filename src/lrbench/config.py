@@ -37,6 +37,13 @@ def _finite(value) -> float:
     return number
 
 
+def _finite_or_inf(value) -> float:
+    number = float(value)
+    if not (math.isfinite(number) or number == math.inf):
+        raise ValueError(f"not a finite number or inf: {value!r}")
+    return number
+
+
 # key -> (caster, destination, field). The destination is the BenchConfig
 # part that receives the value ("train", "sched", "rates", "finder") or
 # "bench" for a BenchConfig field; this doubles as the list of documented
@@ -61,7 +68,7 @@ _SCHEMA = {
     "finder_hi": (_finite, "finder", "lr_hi"),
     "finder_steps": (int, "finder", "n_steps"),
     "finder_beta": (_finite, "finder", "smoothing_beta"),
-    "finder_divergence": (float, "finder", "divergence_factor"),
+    "finder_divergence": (_finite_or_inf, "finder", "divergence_factor"),
     "finder_batch": (int, "bench", "finder_batch"),
     "target_accuracy": (_finite, "bench", "target_accuracy"),
     "lr1": (_finite, "bench", "lr1"),

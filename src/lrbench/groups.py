@@ -1,14 +1,14 @@
-"""Layer groups: head view, feature cache, per-group rates.
+"""Layer groups: body/head split, feature cache, per-group rates.
 
 A model's parameterized layers fall into three ordered groups (initial,
-mid, final) by the rule of Model.param_groups. The final group's input
-activations can be cached so the head trains without repeated full forward
-passes; the body stays fixed because that training runs on head_model, a
-view that holds only the final group. Each group gets its own base learning
-rate scaled by a shared cosine annealing factor so the ratios between groups
-never drift.
+mid, final) by the rule of Model.param_groups. split_head cuts the model
+below the final group into body and head views; the head's inputs can be
+cached from one pass through the body, so the head trains without repeated
+full forward passes, and the body stays fixed because only the head view
+trains. Each group gets its own base learning rate scaled by a shared cosine
+annealing factor so the ratios between groups never drift.
 
-head_model, precompute_features and group_lr_at leave the model unchanged.
+split_head, precompute_features and group_lr_at leave the model unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .schedule import CosineCycleConfig, lr_at
 
 __all__ = [
     "LayerGroupRates",
-    "head_model",
+    "split_head",
     "precompute_features",
     "group_lr_at",
 ]
@@ -43,36 +43,32 @@ class LayerGroupRates:
             raise ValueError(f"need initial <= mid <= final, got {self}")
 
 
-def _head_start(model: Model) -> int:
-    """Index into model.layers of the final group's layer. Parameter-free
-    layers before it belong to the body."""
-    return model.layers.index(model.param_groups()[2][0])
+def split_head(model: Model) -> tuple[Model, Model]:
+    """(body, head): views of the layers below the final group's layer
+    (parameter-free ones included) and of the layers from it up. Layers,
+    and thus parameters and velocities, are shared with ``model``, so
+    training the head view updates the real model and leaves the body as it
+    was. Raises ShapeError for fewer than 3 parameterized layers."""
+    cut = model.layers.index(model.param_groups()[2][0])
+    return (Model(model.layers[:cut], dtype=model.dtype),
+            Model(model.layers[cut:], dtype=model.dtype, loss=model.loss))
 
 
-def head_model(model: Model) -> Model:
-    """A view of the final group as a standalone model. Layers (and thus
-    parameters and velocities) are shared with the original, so training the
-    head view updates the real model and leaves the body as it was."""
-    return Model(model.layers[_head_start(model):], dtype=model.dtype,
-                 loss=model.loss)
-
-
-def precompute_features(model: Model, images) -> np.ndarray:
-    """One deterministic pass of ``images`` through the body (every layer
-    below the final group); returns the final group's input activations,
-    one row per image, in the model's dtype.
+def precompute_features(body: Model, images) -> np.ndarray:
+    """One deterministic pass of ``images`` through the body view from
+    split_head; returns the head's input activations, one per image, in the
+    model's dtype.
 
     No augmentation happens here. The features hold while the body does not
-    change, as when only head_model(model) trains on them. Head logits
-    computed from them are bit-identical to full forward passes. Raises
+    change, as when only the head view trains on them. Head logits computed
+    from them are bit-identical to full forward passes. Raises
     FloatingPointError on non-finite features; a non-finite activation in any
     body layer carries through to them.
     """
-    body = Model(model.layers[:_head_start(model)], dtype=model.dtype)
     out = predict(body, images)
     if not np.isfinite(out).all():
         raise FloatingPointError("non-finite cached features")
-    return out.reshape(len(out), -1)
+    return out
 
 
 def group_lr_at(t_global: int, rates: LayerGroupRates,

@@ -359,7 +359,8 @@ def backward(model: Model, logits: np.ndarray, labels: np.ndarray,
     """Write each parameterized layer's gradients once, with the exact
     gradient of the mean loss; returns that loss. Weight decay enters in
     sgd_step. Every parameter trains: to keep layers fixed, pass a model
-    that leaves them out, as the head phase does with groups.head_model.
+    that leaves them out, as the head phase does with the head view from
+    groups.split_head.
 
     Nothing below the lowest parameterized layer's weights is computed: that
     layer returns no input gradient and the layers under it are not called.

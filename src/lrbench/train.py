@@ -15,7 +15,8 @@ import numpy as np
 
 from .data import augment_batch
 from .errors import ConfigError
-from .nn import Model, predict, softmax_cross_entropy, train_step
+from .nn import (Model, NonFiniteLossError, predict, softmax_cross_entropy,
+                 train_step)
 
 __all__ = [
     "TrainConfig",
@@ -63,10 +64,14 @@ def iterate_minibatches(n_samples: int, batch_size: int, rng: np.random.Generato
 
 
 def evaluate(model: Model, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy over the whole set, no augmentation."""
+    """Mean cross-entropy and accuracy over the whole set, no augmentation.
+    Raises NonFiniteLossError when the loss is nan or inf."""
     logits = predict(model, x)
+    loss = softmax_cross_entropy(logits, y)
+    if not math.isfinite(loss):
+        raise NonFiniteLossError(loss)
     correct = (np.argmax(logits, axis=1) == y).sum()
-    return softmax_cross_entropy(logits, y), int(correct) / len(x)
+    return loss, int(correct) / len(x)
 
 
 @dataclass

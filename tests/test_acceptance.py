@@ -16,7 +16,7 @@ from lrbench.bench import (BenchConfig, confusion, load_bench_dataset,
 from lrbench.cli import run as cli_run
 from lrbench.data import make_blobs
 from lrbench.finder import RangeTestConfig, range_test, suggest_lr
-from lrbench.groups import head_model, precompute_features
+from lrbench.groups import precompute_features, split_head
 from lrbench.nn import (Conv2d, Dense, Flatten, MaxPool2, Model, ReLU,
                         build_mlp, forward, train_step)
 from lrbench.schedule import CosineCycleConfig, cosine_lr, dump_schedule, lr_at
@@ -195,12 +195,12 @@ def test_criterion_6_freeze_and_cache():
     ds = make_blobs(seed=0)
     model = build_mlp((3, 8, 8), 3, seed=0)
     initial, mid, _ = model.param_groups()
-    body = initial + mid
-    assert body == model.param_layers()[:-1]
-    frozen_before = [p.copy() for layer in body for p in layer.params]
+    frozen = initial + mid
+    assert frozen == model.param_layers()[:-1]
+    frozen_before = [p.copy() for layer in frozen for p in layer.params]
 
-    features = precompute_features(model, ds.images)
-    head = head_model(model)
+    body, head = split_head(model)
+    features = precompute_features(body, ds.images)
     sched = CosineCycleConfig(eta_max=0.1, t0=50, mult=1)
     order = np.random.default_rng(0).permutation(len(features))
     batch = 16
@@ -210,7 +210,7 @@ def test_criterion_6_freeze_and_cache():
         train_step(head, features[idx], ds.labels[idx],
                    lr_at(step, sched), momentum=0.9)
 
-    frozen_after = [p for layer in body for p in layer.params]
+    frozen_after = [p for layer in frozen for p in layer.params]
     frozen_ok = all(np.array_equal(a, b)
                     for a, b in zip(frozen_before, frozen_after))
 

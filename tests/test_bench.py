@@ -12,7 +12,7 @@ from lrbench.bench import (BenchConfig, RunReport, _time_to_target,
                            run_optimized, run_range_test, speedup)
 from lrbench.errors import ConfigError
 from lrbench.finder import RangeTestConfig, write_trace_csv
-from lrbench.groups import precompute_features
+from lrbench.groups import precompute_features, split_head
 from lrbench.nn import Conv2d, Dense, forward, train_step
 from lrbench.schedule import CosineCycleConfig
 from lrbench.train import EpochRecord, PhaseResult, TrainConfig, evaluate
@@ -311,8 +311,7 @@ class TestPipelines:
 
         def spied_build(*args, **kwargs):
             built = real_build(*args, **kwargs)
-            head_start = built.layers.index(built.param_groups()[2][0])
-            for layer in built.layers[:head_start]:
+            for layer in split_head(built)[0].layers:
                 calls = counts[layer.name] = {"forward": 0, "backward": 0}
                 for method in calls:
                     def counted(*a, _real=getattr(layer, method),
@@ -356,8 +355,9 @@ class TestPipelines:
                    momentum=0.9)
         before = [[a.copy() for a in layer.params + layer.vel]
                   for layer in model.param_layers()]
-        trace = run_range_test(cfg, model,
-                               precompute_features(model, train_ds.images),
+        body, head = split_head(model)
+        trace = run_range_test(cfg, head,
+                               precompute_features(body, train_ds.images),
                                train_ds.labels)
         assert len(trace.steps) > 3
         for saved, layer in zip(before, model.param_layers()):

@@ -13,7 +13,7 @@ from lrbench.config import (_SCHEMA, CONFIG_KEYS, build_bench_config,
 from lrbench.errors import ConfigError
 from lrbench.finder import (LRFinderTrace, range_test, suggest_lr,
                             write_trace_csv)
-from lrbench.groups import head_model, precompute_features
+from lrbench.groups import precompute_features, split_head
 
 TINY_CONFIG = """\
 # desk-scale smoke config
@@ -120,10 +120,11 @@ class TestBuildBenchConfig:
             build_bench_config({"momentum": "1.5"})
 
     def test_infinite_divergence_factor_allowed(self):
-        # inf stops the range test only on a non-finite loss; nan is not > 1
+        # inf stops the range test only on a non-finite loss; nan is no
+        # factor at all
         cfg = build_bench_config({"finder_divergence": "inf"})
         assert cfg.finder.divergence_factor == math.inf
-        with pytest.raises(ConfigError, match="divergence_factor"):
+        with pytest.raises(ConfigError, match="finder_divergence"):
             build_bench_config({"finder_divergence": "nan"})
 
     def test_every_key_has_a_caster(self):
@@ -221,8 +222,9 @@ class TestLrFind:
         cfg = build_bench_config(parse_config_file(cfg_path))
         train_ds, _ = load_bench_dataset(cfg)
         model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
-        trace = range_test(head_model(model),
-                           (precompute_features(model, train_ds.images),
+        body, head = split_head(model)
+        trace = range_test(head,
+                           (precompute_features(body, train_ds.images),
                             train_ds.labels),
                            cfg.finder, rng_seed=cfg.train.seed, batch_size=128)
         expected = io.StringIO()
@@ -335,6 +337,8 @@ class TestExitCodes:
         ("benchmark", "blobs_noise", "nan"),
         ("benchmark", "finder_hi", "inf"),
         ("benchmark", "min_delta", "nan"),
+        ("lr-find", "finder_divergence", "nan"),
+        ("lr-find", "finder_divergence", "-inf"),
         ("benchmark", "blobs_noise", "-1"),
         ("train", "seed", "-1"),
         ("schedule-dump", "seed", "-1"),
@@ -425,6 +429,25 @@ class TestExitCodes:
         assert [int(r["epoch"]) for r in rows] == list(range(len(rows)))
         assert all(r["phase"] == "sgdr"
                    and math.isfinite(float(r["train_loss"])) for r in rows)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_train_non_finite_validation_loss_exits_5(self, tmp_path, capsys):
+        # the second epoch's training loss is finite, but its validation
+        # logits overflow: evaluation ends the run there
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("n_per_class = 40\neta_max = 1.0\nmomentum = 0.0\n"
+                       "weight_decay = 3\nt0 = 100000\n")
+        out = tmp_path / "out"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 5
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: training diverged: non-finite")
+        with open(out / "history.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        assert all(math.isfinite(float(r[key])) for r in rows
+                   for key in ("train_loss", "valid_loss"))
 
     def test_argparse_rejects_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

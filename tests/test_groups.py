@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from lrbench.data import make_blobs
-from lrbench.groups import (LayerGroupRates, group_lr_at, head_model,
-                            precompute_features)
-from lrbench.nn import (Dense, Model, ReLU, ShapeError, build_cnn, build_mlp,
-                        forward, predict, train_step)
+from lrbench.groups import (LayerGroupRates, group_lr_at, precompute_features,
+                            split_head)
+from lrbench.nn import (Conv2d, Dense, Model, ReLU, ShapeError, build_cnn,
+                        build_mlp, forward, predict, train_step)
 from lrbench.schedule import CosineCycleConfig, lr_at
 
 
@@ -69,19 +69,22 @@ class TestHeadSplit:
     def test_head_view_starts_at_final_group(self):
         # the ReLU under the head belongs to the body
         model = build_cnn((3, 8, 8), 3)
-        assert head_model(model).layers == [model.layers[-1]]
+        body, head = split_head(model)
+        assert head.layers == [model.layers[-1]]
+        assert body.layers == model.layers[:-1]
 
     def test_head_model_needs_three_groups(self):
         model = Model([Dense(4, 4), ReLU(), Dense(4, 2)])
         with pytest.raises(ShapeError, match="at least 3"):
-            head_model(model)
+            split_head(model)
 
     def test_head_model_shares_parameters(self):
         model = build_mlp((3, 8, 8), 3)
-        head = head_model(model)
+        body, head = split_head(model)
         assert head.layers[0] is model.param_layers()[-1]
+        assert body.param_layers() == model.param_layers()[:-1]
         assert head.loss == model.loss
-        assert head.dtype == model.dtype
+        assert head.dtype == body.dtype == model.dtype
         # training the head view moves weights in the base model
         before = model.param_layers()[-1].W.copy()
         x = np.random.default_rng(0).random((8, 64)).astype(np.float32)
@@ -94,11 +97,11 @@ class TestPrecomputeFeatures:
     def test_matches_manual_body_forward(self):
         model = build_mlp((3, 8, 8), 3)
         ds = make_blobs(n_per_class=10, seed=0)
-        features = precompute_features(model, ds.images)
+        features = precompute_features(split_head(model)[0], ds.images)
         out = np.asarray(ds.images, dtype=model.dtype)
         for layer in model.layers[:-1]:
             out, _ = layer.forward(out)
-        np.testing.assert_array_equal(features, out.reshape(len(ds), -1))
+        np.testing.assert_array_equal(features, out)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64],
                              ids=["f32", "f64"])
@@ -109,16 +112,27 @@ class TestPrecomputeFeatures:
         # inputs, so its logits would drift from the full model's
         model = builder((3, 8, 8), 3, dtype=dtype, seed=0)
         x = make_blobs(n_per_class=10, seed=1).images
-        features = precompute_features(model, x)
+        body, head = split_head(model)
+        features = precompute_features(body, x)
         assert features.dtype == model.dtype
-        assert np.array_equal(predict(head_model(model), features),
-                              predict(model, x))
+        assert np.array_equal(predict(head, features), predict(model, x))
+
+    def test_conv_head_takes_its_cache_unflattened(self):
+        # the features keep the body's output shape, so a head that starts
+        # with a conv reads them as the full model would
+        model = Model([Conv2d(3, 4, 3), ReLU(), Conv2d(4, 4, 3), ReLU(),
+                       Conv2d(4, 2, 3)])
+        x = np.random.default_rng(0).standard_normal((5, 3, 8, 8))
+        body, head = split_head(model)
+        features = precompute_features(body, x)
+        assert features.shape == (5, 4, 8, 8)
+        assert np.array_equal(predict(head, features), predict(model, x))
 
     def test_cached_head_logits_match_full_forward_f32(self):
         model = build_mlp((3, 8, 8), 3)
         ds = make_blobs(n_per_class=10, seed=1)
-        features = precompute_features(model, ds.images)
-        head = head_model(model)
+        body, head = split_head(model)
+        features = precompute_features(body, ds.images)
         full, _ = forward(model, ds.images)
         cached, _ = forward(head, features)
         np.testing.assert_array_equal(full, cached)
@@ -127,8 +141,8 @@ class TestPrecomputeFeatures:
         model = build_cnn((3, 8, 8), 3, seed=0)
         # 300 rows: two cache batches, each many conv im2col blocks
         ds = make_blobs(n_per_class=100, seed=1)
-        features = precompute_features(model, ds.images)
-        head = head_model(model)
+        body, head = split_head(model)
+        features = precompute_features(body, ds.images)
         full, _ = forward(model, ds.images)
         cached, _ = forward(head, features)
         np.testing.assert_array_equal(full, cached)
@@ -136,23 +150,24 @@ class TestPrecomputeFeatures:
     def test_accepts_plain_arrays(self):
         model = build_mlp((3, 8, 8), 3)
         ds = make_blobs(n_per_class=5)
-        features = precompute_features(model, ds.images.tolist())
+        body = split_head(model)[0]
+        features = precompute_features(body, ds.images.tolist())
         # one 256-row batch, as the cache pass takes it
         out = ds.images.astype(model.dtype)
         for layer in model.layers[:-1]:
             out, _ = layer.forward(out)
-        np.testing.assert_array_equal(features, out.reshape(len(ds), -1))
+        np.testing.assert_array_equal(features, out)
         with pytest.raises(TypeError):
-            precompute_features(model, ds)  # a Dataset is not an image array
+            precompute_features(body, ds)  # a Dataset is not an image array
 
     def test_batch_size_does_not_change_result(self):
         # 300 rows: the cache's 256 + 44-row pass against one forward over
         # the body; not bit-exact across batch sizes: BLAS picks different
         # reduction orders for different shapes, so allow f32 rounding noise
-        model = build_mlp((3, 8, 8), 3)
+        body = split_head(build_mlp((3, 8, 8), 3))[0]
         ds = make_blobs(n_per_class=100)
-        a, _ = forward(Model(model.layers[:-1]), ds.images)
-        b = precompute_features(model, ds.images)
+        a, _ = forward(body, ds.images)
+        b = precompute_features(body, ds.images)
         np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
     def test_first_layer_overflow_raises_f32(self):
@@ -162,7 +177,8 @@ class TestPrecomputeFeatures:
         model.layers[0].W[...] = np.finfo(np.float32).max
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="non-finite"):
-                precompute_features(model, np.ones((4, 3, 8, 8)))
+                precompute_features(split_head(model)[0],
+                                    np.ones((4, 3, 8, 8)))
 
 
 class TestGroupLrAt:

@@ -1,13 +1,17 @@
 """README.md stays true: its Python examples run, its config-key table
-lists exactly the keys the config parser accepts and its CLI section names
-exactly the flags the parser accepts."""
+lists exactly the keys the config parser accepts, its CLI section names
+exactly the flags the parser accepts and every dotted lrbench name it puts
+in backticks exists."""
 
 import argparse
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import lrbench
 from lrbench.cli import build_parser
 from lrbench.config import CONFIG_KEYS
 
@@ -44,3 +48,25 @@ def test_cli_section_names_exactly_the_parser_flags():
              for action in sub._actions for option in action.option_strings
              if option.startswith("--")}
     assert documented == flags - {"--help"}
+
+
+def test_dotted_names_resolve():
+    # a dotted name is lrbench's when it starts with the package, one of its
+    # modules or a name the package exports; file names such as
+    # schedule.csv or confusion.csv are not
+    modules = {info.name for info in pkgutil.iter_modules(lrbench.__path__)}
+    names = [name for name in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", README)
+             if name.split(".")[0] in {"lrbench", *modules, *lrbench.__all__}
+             and not re.search(r"\.(csv|txt|json|cfg|md|py)$", name)]
+    assert "lrbench.groups" in names
+    stale = []
+    for name in names:
+        first, *rest = name.removeprefix("lrbench.").split(".")
+        obj = (importlib.import_module(f"lrbench.{first}") if first in modules
+               else getattr(lrbench, first))
+        for part in rest:
+            if not hasattr(obj, part):
+                stale.append(name)
+                break
+            obj = getattr(obj, part)
+    assert stale == []
