@@ -130,9 +130,10 @@ def cmd_benchmark(args) -> None:
     data = load_bench_dataset(cfg)
     out = _out_dir(args)
     conv = run_conventional(cfg, data)
-    opt = run_optimized(cfg, data)
+    # written first, so a divergence in the optimized run keeps them
     for path in emit_report(conv, out, "conventional_"):
         print(f"wrote {path}")
+    opt = run_optimized(cfg, data)
     for path in emit_report(opt, out, "optimized_"):
         print(f"wrote {path}")
     print(f"conventional: acc={conv.accuracy:.4f} "

@@ -4,9 +4,12 @@ Dense and small convolutional layers with hand-derived gradients, softmax
 cross-entropy (plus an MSE mode for quadratic fixtures), and SGD with momentum
 and coupled L2 weight decay. The convolution runs on a flat padded grid of its
 input, where every kernel offset reads one contiguous shifted slice (Conv2d).
-Everything runs on numpy in float32 or float64: float64 layers exist so the
-finite-difference gradient checks have headroom, while the CLI and the
-benchmark build float32 models.
+build_cnn pools before its ReLUs, so pooling ties are among raw conv
+outputs. MaxPool2 finds its winners in backward and ReLU takes its mask from
+its output, so a forward-only pass builds no mask. Everything runs on numpy
+in float32 or float64: float64 layers exist so the finite-difference
+gradient checks have headroom, while the CLI and the benchmark build float32
+models.
 
 A Model instance is single-owner while training: forward/backward/sgd_step
 mutate its gradient and parameter buffers in place.
@@ -99,11 +102,10 @@ class Dense(Layer):
         return grad_out @ self.W.T if need_input_grad else None
 
 
-# Rows per forward call in predict; no cache outlives its slice.
-_PREDICT_ROWS = 256
-# Input rows per GEMM block in Conv2d.forward: the columns are k*k times
-# the input, and predict passes up to _PREDICT_ROWS rows.
-_CONV_BLOCK_ROWS = 16
+# Rows per forward call in predict and input rows per GEMM block in
+# Conv2d.forward (whose columns are k*k times the input): inference then
+# holds no more than a training step at batch 16 does.
+_BLOCK_ROWS = 16
 
 
 def _window_shifts(k: int, width: int) -> list[int]:
@@ -122,7 +124,7 @@ class Conv2d(Layer):
     computed at every grid cell, and the cells whose window leaves the image
     are dropped, so the input a kernel offset meets is one contiguous slice
     of the grid (see _window_shifts). Forward is im2col plus one GEMM per
-    _CONV_BLOCK_ROWS input rows. Only the grid is cached: backward takes
+    _BLOCK_ROWS input rows. Only the grid is cached: backward takes
     the weight gradient as one GEMM per kernel offset and does col2im as
     k*k shifted adds.
     """
@@ -159,7 +161,7 @@ class Conv2d(Layer):
             x.transpose(1, 0, 2, 3)
         wm = self.W.reshape(o, -1)
         y = np.empty((o, cells), dtype=x.dtype)
-        block = _CONV_BLOCK_ROWS * hp * wp
+        block = _BLOCK_ROWS * hp * wp
         for start in range(0, cells, block):
             length = min(block, cells - start)
             cols = np.empty((c, k * k, length), dtype=x.dtype)
@@ -202,12 +204,15 @@ class Conv2d(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0) in one pass. Only the output is cached: the gradient passes
+    where it is positive."""
+
     def forward(self, x):
-        mask = x > 0
-        return x * mask, mask
+        y = np.maximum(x, 0)
+        return y, y
 
     def backward(self, grad_out, cache):
-        return grad_out * cache
+        return grad_out * (cache > 0)
 
 
 # the four positions of a 2x2 pooling window, in row-major order
@@ -217,9 +222,9 @@ _POOL_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 class MaxPool2(Layer):
     """2x2 max pooling with stride 2. Requires even spatial dims.
 
-    Ties go to the first maximum in row-major window order, as argmax
-    breaks them; windows of zeros after a ReLU are common. The gradient of
-    each window goes to that one element.
+    Forward computes only the maxima. Backward finds each window's winner,
+    the first maximum in row-major window order as argmax breaks ties, and
+    sends the window's gradient to that one element.
     """
 
     def forward(self, x):
@@ -231,16 +236,20 @@ class MaxPool2(Layer):
         quads = [x[:, :, i::2, j::2] for i, j in _POOL_WINDOW]
         y = np.maximum(np.maximum(quads[0], quads[1]),
                        np.maximum(quads[2], quads[3]))
+        return y, (x, y)
+
+    def backward(self, grad_out, cache):
+        x, y = cache
+        quads = [x[:, :, i::2, j::2] for i, j in _POOL_WINDOW]
         first = quads[0] == y
         second = (quads[1] == y) & ~first
         taken = first | second
         third = (quads[2] == y) & ~taken
-        return y, ((first, second, third, ~(taken | third)), x.shape)
-
-    def backward(self, grad_out, cache):
-        masks, shape = cache
-        g = np.empty(shape, dtype=grad_out.dtype)
-        for (i, j), mask in zip(_POOL_WINDOW, masks):
+        # laid out in memory as x is (a conv's output is channel-major), so
+        # the strided writes below and the layer under read it in order
+        g = np.empty_like(x, dtype=grad_out.dtype)
+        for (i, j), mask in zip(_POOL_WINDOW,
+                                (first, second, third, ~(taken | third))):
             # a slot that lost gets grad * 0, a zero with grad's sign
             np.multiply(grad_out, mask, out=g[:, :, i::2, j::2])
         return g
@@ -310,9 +319,9 @@ def forward(model: Model, batch: np.ndarray):
 
 def predict(model: Model, x: np.ndarray) -> np.ndarray:
     """The model's outputs for every row of ``x``, computed by forward over
-    _PREDICT_ROWS rows at a time."""
-    return np.concatenate([forward(model, x[start:start + _PREDICT_ROWS])[0]
-                           for start in range(0, len(x), _PREDICT_ROWS)])
+    _BLOCK_ROWS rows at a time."""
+    return np.concatenate([forward(model, x[start:start + _BLOCK_ROWS])[0]
+                           for start in range(0, len(x), _BLOCK_ROWS)])
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -434,7 +443,9 @@ def build_mlp(input_shape, n_classes: int, hidden=(64, 64),
 
 
 def build_cnn(input_shape, n_classes: int, dtype=np.float32, seed: int = 0) -> Model:
-    """Two conv blocks with pooling, then two dense layers."""
+    """Two conv blocks of conv, pool, ReLU (the outputs and gradients of
+    conv, ReLU, pool at a quarter of the ReLU's cells), then two dense
+    layers."""
     c, h, w = input_shape
     if h % 4 or w % 4:
         raise ShapeError(f"cnn input dims must be divisible by 4, got {h}x{w}")
@@ -442,11 +453,11 @@ def build_cnn(input_shape, n_classes: int, dtype=np.float32, seed: int = 0) -> M
     flat = 16 * (h // 4) * (w // 4)
     layers: list[Layer] = [
         Conv2d(c, 8, 3, dtype=dtype, rng=rng),
-        ReLU(),
         MaxPool2(),
+        ReLU(),
         Conv2d(8, 16, 3, dtype=dtype, rng=rng),
-        ReLU(),
         MaxPool2(),
+        ReLU(),
         Flatten(),
         Dense(flat, 32, dtype=dtype, rng=rng),
         ReLU(),

@@ -13,7 +13,7 @@ from lrbench.bench import (BenchConfig, RunReport, _time_to_target,
 from lrbench.errors import ConfigError
 from lrbench.finder import RangeTestConfig, write_trace_csv
 from lrbench.groups import precompute_features, split_head
-from lrbench.nn import Conv2d, Dense, forward, train_step
+from lrbench.nn import _BLOCK_ROWS, Conv2d, Dense, forward, train_step
 from lrbench.schedule import CosineCycleConfig
 from lrbench.train import EpochRecord, PhaseResult, TrainConfig, evaluate
 
@@ -331,8 +331,8 @@ class TestPipelines:
         train_ds, valid_ds = load_bench_dataset(cfg)
         run_optimized(cfg, (train_ds, valid_ds))
         assert at_dlr_clm, "dlr_clm never started"
-        cache_batches = (math.ceil(len(train_ds) / 256)
-                         + math.ceil(len(valid_ds) / 256))
+        cache_batches = (math.ceil(len(train_ds) / _BLOCK_ROWS)
+                         + math.ceil(len(valid_ds) / _BLOCK_ROWS))
         assert at_dlr_clm == {name: {"forward": cache_batches, "backward": 0}
                               for name in counts}
 

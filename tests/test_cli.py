@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lrbench.bench import BenchConfig, build_model, load_bench_dataset
+import lrbench.cli
 from lrbench.cli import main, run
 from lrbench.config import (_SCHEMA, CONFIG_KEYS, build_bench_config,
                             parse_config_file)
@@ -14,6 +15,7 @@ from lrbench.errors import ConfigError
 from lrbench.finder import (LRFinderTrace, range_test, suggest_lr,
                             write_trace_csv)
 from lrbench.groups import precompute_features, split_head
+from lrbench.nn import NonFiniteLossError
 
 TINY_CONFIG = """\
 # desk-scale smoke config
@@ -295,6 +297,26 @@ class TestBenchmarkCommand:
         assert "speedup:" in stdout
         assert "conventional:" in stdout
         assert "optimized:" in stdout
+
+    def test_optimized_divergence_keeps_the_conventional_report(
+            self, tmp_path, tiny_config_file, capsys, monkeypatch):
+        def diverge(cfg, data):
+            raise NonFiniteLossError(float("nan"))
+
+        monkeypatch.setattr(lrbench.cli, "run_optimized", diverge)
+        out = tmp_path / "out"
+        assert run(["benchmark", "--config", str(tiny_config_file),
+                    "--out", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: training diverged: non-finite")
+        written = [line for line in captured.out.splitlines()
+                   if line.startswith("wrote ")]
+        names = ("history.csv", "confusion.csv", "summary.txt")
+        assert written == [f"wrote {out / f'conventional_{name}'}"
+                           for name in names]
+        assert all((out / f"conventional_{name}").exists() for name in names)
+        assert not list(out.glob("optimized_*"))
+        assert "speedup:" not in captured.out
 
     def test_optimized_finder_trace_gives_eta_max(self, tmp_path,
                                                   tiny_config_file):

@@ -6,7 +6,7 @@ import pytest
 from conftest import max_grad_rel_error
 from lrbench.groups import LayerGroupRates
 import lrbench.nn
-from lrbench.nn import (_CONV_BLOCK_ROWS, Conv2d, Dense, Flatten, MaxPool2,
+from lrbench.nn import (_BLOCK_ROWS, Conv2d, Dense, Flatten, MaxPool2,
                         Model, NonFiniteLossError, ReLU, ShapeError, backward,
                         build_cnn, build_mlp, forward, predict, sgd_step,
                         softmax_cross_entropy, train_step)
@@ -93,7 +93,7 @@ class TestForward:
         rng = f64_rng(5)
         # more rows than one GEMM block, and a short last block
         rows = 19
-        assert rows > _CONV_BLOCK_ROWS and rows % _CONV_BLOCK_ROWS
+        assert rows > _BLOCK_ROWS and rows % _BLOCK_ROWS
         # non-square images with kernel sizes 1, 3 and 5: swapping h and w,
         # or a grid row of the wrong width, shows here
         for (h, w), k in [((4, 4), 3), ((6, 4), 1), ((6, 4), 3), ((6, 4), 5),
@@ -128,6 +128,35 @@ class TestForward:
         expected = np.zeros_like(x)
         expected[first] = g.ravel()
         assert np.array_equal(back, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("windows", ["random", "tied", "negative"])
+    def test_pool_then_relu_equals_relu_then_pool(self, dtype, windows):
+        # build_cnn pools before its ReLUs: outputs and input gradients
+        # must equal those of the ReLU-first order exactly
+        rng = f64_rng(7)
+        x = rng.standard_normal((3, 4, 6, 8))
+        if windows == "tied":
+            x = np.round(x * 2) / 2  # quantised: ties, zeros among them
+        elif windows == "negative":
+            x = -np.abs(x) - 0.1
+        x = x.astype(dtype)
+        g = rng.standard_normal((3, 4, 3, 4)).astype(dtype)
+        outs, grads = [], []
+        for layers in ([MaxPool2(), ReLU()], [ReLU(), MaxPool2()]):
+            y, caches = forward(Model(layers, dtype=dtype), x)
+            back = g
+            for layer, cache in zip(reversed(layers), reversed(caches)):
+                back = layer.backward(back, cache)
+            outs.append(y)
+            grads.append(back)
+        assert outs[0].dtype == grads[0].dtype == dtype
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(grads[0], grads[1])
+        if windows == "negative":
+            assert not outs[0].any() and not grads[0].any()
+        else:
+            assert np.count_nonzero(grads[0]) == np.count_nonzero(outs[0])
 
     def test_pool_rejects_odd_dims(self):
         model = Model([MaxPool2()], dtype=np.float32)
@@ -169,12 +198,25 @@ class TestPredict:
     def test_more_than_256_rows(self, monkeypatch):
         model = build_cnn((3, 8, 8), 3, seed=0)
         x = f64_rng(3).random((300, 3, 8, 8)).astype(np.float32)
-        expected = np.concatenate([forward(model, x[:256])[0],
-                                   forward(model, x[256:])[0]])
+        expected = np.concatenate([forward(model, x[start:start + 16])[0]
+                                   for start in range(0, 300, 16)])
         rows = self.slice_rows(monkeypatch)
         out = predict(model, x)
-        assert rows == [256, 44]
+        assert rows == [16] * 18 + [12]
         assert out.shape == (300, 3) and out.dtype == np.float32
+        np.testing.assert_array_equal(out, expected)
+
+    def test_forty_rows_go_in_blocks_of_16(self, monkeypatch):
+        # a validation pass of the cifar workloads: two full blocks and a
+        # short one, each forwarded on its own
+        model = build_cnn((3, 8, 8), 3, seed=1)
+        x = f64_rng(4).random((40, 3, 8, 8)).astype(np.float32)
+        expected = np.concatenate([forward(model, x[:16])[0],
+                                   forward(model, x[16:32])[0],
+                                   forward(model, x[32:])[0]])
+        rows = self.slice_rows(monkeypatch)
+        out = predict(model, x)
+        assert rows == [16, 16, 8] and _BLOCK_ROWS == 16
         np.testing.assert_array_equal(out, expected)
 
 
@@ -239,6 +281,17 @@ class TestBackward:
                       dtype=np.float64)
         assert max_grad_rel_error(model, x, y) < 1e-4
 
+    def test_conv_pool_relu_gradients(self):
+        # build_cnn's block order: the pool's winners among raw conv outputs
+        rng = f64_rng(12)
+        x = rng.random((3, 2, 4, 6))
+        y = rng.integers(0, 2, size=3)
+        model = Model([Conv2d(2, 3, 3, dtype=np.float64, rng=rng), MaxPool2(),
+                       ReLU(), Flatten(),
+                       Dense(18, 2, dtype=np.float64, rng=rng)],
+                      dtype=np.float64)
+        assert max_grad_rel_error(model, x, y) < 1e-4
+
     def test_conv_input_gradient_through_a_second_conv(self):
         # the second conv's input gradient reaches the first conv's weights
         rng = f64_rng(9)
@@ -258,7 +311,7 @@ class TestBackward:
         # second conv's input gradient reaches the first conv's weights
         rng = f64_rng(13)
         rows = 19
-        assert rows > _CONV_BLOCK_ROWS and rows % _CONV_BLOCK_ROWS
+        assert rows > _BLOCK_ROWS and rows % _BLOCK_ROWS
         x = rng.random((rows, 2, h, w))
         y = rng.integers(0, 2, size=rows)
         model = Model([Conv2d(2, 3, ksize, dtype=np.float64, rng=rng), ReLU(),
@@ -524,6 +577,12 @@ class TestBuilders:
         assert len(model.param_layers()) == 4
         logits, _ = forward(model, np.zeros((2, 3, 8, 8), dtype=np.float32))
         assert logits.shape == (2, 5)
+
+    def test_cnn_blocks_pool_before_relu(self):
+        model = build_cnn((3, 8, 8), 5, seed=0)
+        assert [type(layer) for layer in model.layers] == [
+            Conv2d, MaxPool2, ReLU, Conv2d, MaxPool2, ReLU, Flatten, Dense,
+            ReLU, Dense]
 
     def test_cnn_rejects_indivisible_dims(self):
         with pytest.raises(ShapeError):
