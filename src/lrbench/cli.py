@@ -171,14 +171,20 @@ def cmd_confusion(args) -> None:
                 except ValueError as err:
                     raise DataError(f"{args.pred}:{lineno}: {err}") from err
                 pairs.append((true_id, pred_id))
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read {args.pred}: {err}") from err
     if not pairs:
         raise DataError(f"{args.pred}: no prediction rows")
     labels = np.array([p[0] for p in pairs])
     preds = np.array([p[1] for p in pairs])
     n_classes = int(max(labels.max(), preds.max())) + 1
-    conf = confusion(preds, labels, n_classes)
+    try:
+        conf = confusion(preds, labels, n_classes)
+    except (MemoryError, ValueError) as err:
+        # the ids are in range by construction: only allocating an
+        # n_classes x n_classes matrix can fail here
+        raise DataError(f"{args.pred}: class id {n_classes - 1} is too "
+                        f"large for a confusion matrix: {err}") from err
     path = _out_dir(args) / "confusion.csv"
     write_confusion_csv(path, [f"c{i}" for i in range(n_classes)], conf)
     acc = float(np.trace(conf)) / float(conf.sum())

@@ -92,7 +92,7 @@ def parse_config_file(path) -> dict:
     try:
         with open(path) as fh:
             lines = fh.readlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()

@@ -2,7 +2,10 @@
 
 
 class LRBenchError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for the configuration and data errors below. The errors
+    that extend a builtin type do not derive from it: nn.ShapeError and
+    schedule.InvalidScheduleError (ValueError), nn.NonFiniteLossError
+    (FloatingPointError) and finder.NoDescentFound (RuntimeError)."""
 
 
 class ConfigError(LRBenchError):

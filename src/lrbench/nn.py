@@ -102,9 +102,8 @@ class Dense(Layer):
         return grad_out @ self.W.T if need_input_grad else None
 
 
-# Rows per forward call in predict and input rows per GEMM block in
-# Conv2d.forward (whose columns are k*k times the input): inference then
-# holds no more than a training step at batch 16 does.
+# Rows per forward call in predict: inference then holds no more than a
+# training step at batch 16 does.
 _BLOCK_ROWS = 16
 
 
@@ -123,10 +122,9 @@ class Conv2d(Layer):
     plus a tail that the last windows read past the end. Outputs are
     computed at every grid cell, and the cells whose window leaves the image
     are dropped, so the input a kernel offset meets is one contiguous slice
-    of the grid (see _window_shifts). Forward is im2col plus one GEMM per
-    _BLOCK_ROWS input rows. Only the grid is cached: backward takes
-    the weight gradient as one GEMM per kernel offset and does col2im as
-    k*k shifted adds.
+    of the grid (see _window_shifts). Forward is im2col plus one GEMM. Only
+    the grid is cached: backward takes the weight gradient as one GEMM per
+    kernel offset and does col2im as k*k shifted adds.
     """
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int = 3,
@@ -159,16 +157,10 @@ class Conv2d(Layer):
         xf = np.zeros((c, cells + shifts[-1]), dtype=x.dtype)
         xf[:, :cells].reshape(c, n, hp, wp)[:, :, p:p + h, p:p + w] = \
             x.transpose(1, 0, 2, 3)
-        wm = self.W.reshape(o, -1)
-        y = np.empty((o, cells), dtype=x.dtype)
-        block = _BLOCK_ROWS * hp * wp
-        for start in range(0, cells, block):
-            length = min(block, cells - start)
-            cols = np.empty((c, k * k, length), dtype=x.dtype)
-            for i, shift in enumerate(shifts):
-                cols[:, i] = xf[:, start + shift:start + shift + length]
-            np.matmul(wm, cols.reshape(c * k * k, length),
-                      out=y[:, start:start + length])
+        cols = np.empty((c, k * k, cells), dtype=x.dtype)
+        for i, shift in enumerate(shifts):
+            cols[:, i] = xf[:, shift:shift + cells]
+        y = self.W.reshape(o, -1) @ cols.reshape(c * k * k, cells)
         y += self.b[:, None]
         return y.reshape(o, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3), xf
 

@@ -200,6 +200,26 @@ class TestConfusionCommand:
         pred.write_text("true,pred\n")
         assert run(["confusion", "--pred", str(pred)]) == 3
 
+    def test_non_utf8_file_exits_3_naming_it(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_bytes(b"true,pred\n0,1\n\xff\n")
+        assert run(["confusion", "--pred", str(pred), "--out", str(tmp_path)]) == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: cannot read {pred}: ")
+        assert not (tmp_path / "confusion.csv").exists()
+
+    def test_huge_class_id_exits_3_naming_file_and_id(self, tmp_path, capsys):
+        # a 100000001 x 100000001 matrix is larger than the address space,
+        # so the allocation fails at once
+        pred = tmp_path / "pred.csv"
+        pred.write_text("true,pred\n0,100000000\n")
+        assert run(["confusion", "--pred", str(pred), "--out", str(tmp_path)]) == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {pred}: class id 100000000 ")
+        assert not (tmp_path / "confusion.csv").exists()
+
 
 class TestLrFind:
     def test_writes_trace_and_suggestion(self, tmp_path, tiny_config_file, capsys):
@@ -410,6 +430,16 @@ class TestExitCodes:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["train", "--config", str(tmp_path / "none.cfg")]) == 2
+
+    def test_non_utf8_config_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\n\xff\n")
+        assert run(["train", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: cannot read config {cfg}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_data_error_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "cifar.cfg"

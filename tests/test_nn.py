@@ -91,9 +91,8 @@ class TestForward:
 
     def test_conv_matches_naive_loops(self):
         rng = f64_rng(5)
-        # more rows than one GEMM block, and a short last block
+        # a batch that is not a multiple of the 16-row training batch
         rows = 19
-        assert rows > _BLOCK_ROWS and rows % _BLOCK_ROWS
         # non-square images with kernel sizes 1, 3 and 5: swapping h and w,
         # or a grid row of the wrong width, shows here
         for (h, w), k in [((4, 4), 3), ((6, 4), 1), ((6, 4), 3), ((6, 4), 5),
@@ -307,11 +306,10 @@ class TestBackward:
     @pytest.mark.parametrize("h,w", [(6, 4), (4, 6)])
     @pytest.mark.parametrize("ksize", [1, 3, 5])
     def test_conv_gradients_on_non_square_grids(self, h, w, ksize):
-        # 19 rows: more than one forward block and a short last one; the
-        # second conv's input gradient reaches the first conv's weights
+        # 19 rows: a batch that is not a multiple of 16; the second conv's
+        # input gradient reaches the first conv's weights
         rng = f64_rng(13)
         rows = 19
-        assert rows > _BLOCK_ROWS and rows % _BLOCK_ROWS
         x = rng.random((rows, 2, h, w))
         y = rng.integers(0, 2, size=rows)
         model = Model([Conv2d(2, 3, ksize, dtype=np.float64, rng=rng), ReLU(),

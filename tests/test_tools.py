@@ -2,7 +2,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from lrbench.bench import RunReport
+from lrbench.finder import LRFinderTrace
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "seeded_outputs.py"
 spec = importlib.util.spec_from_file_location("seeded_outputs", TOOL)
@@ -82,3 +86,15 @@ class TestCompare:
 def test_set_names_hold_no_space():
     # compare groups reports by the first word of their key
     assert all(" " not in name for name in seeded_outputs.SETS)
+
+
+def test_report_outputs_take_the_finder_trace_from_the_report():
+    trace = LRFinderTrace([(1e-3, 2.0, 2.0), (1e-2, 1.5, 1.7)], "completed")
+    fields = dict(phases=[], total_seconds=1.0, confusion=np.eye(2, dtype=int),
+                  reached=True, history=[], class_names=["a", "b"])
+    conventional = seeded_outputs.report_outputs(RunReport(**fields))
+    optimized = seeded_outputs.report_outputs(
+        RunReport(**fields, eta_max=1e-3, finder_trace=trace))
+    assert conventional["finder_traces"] == []
+    assert optimized["finder_traces"] == [
+        [[1e-3, 2.0, 2.0], [1e-2, 1.5, 1.7], "completed"]]

@@ -9,8 +9,8 @@ SRC_DIR (for example ``src``, or the ``src`` of a second checkout) and the
 workload configs from ``perfbench/workloads.py``, runs ``run_conventional``
 and ``run_optimized`` on each input seed of each set in SETS and writes, per
 report: the history without its seconds column, the confusion matrix,
-``reached``, each phase's name, epochs and accuracy, ``eta_max`` and every
-range-test trace the pipeline produced. Wall times are left out. BLAS runs on one
+``reached``, each phase's name, epochs and accuracy, ``eta_max`` and the
+range-test trace the report carries. Wall times are left out. BLAS runs on one
 thread, as in the benchmark, so that float sums do not depend on the host.
 
 The second form prints, per set, how many seed/pipeline reports
@@ -51,7 +51,8 @@ SETS = {
 PIPELINES = ("conventional", "optimized")
 
 
-def report_outputs(report, traces) -> dict:
+def report_outputs(report) -> dict:
+    trace = report.finder_trace
     return {
         "history": [[r.epoch, r.phase, r.lr, r.train_loss, r.valid_loss,
                      r.valid_acc] for r in report.history],
@@ -60,8 +61,8 @@ def report_outputs(report, traces) -> dict:
         "phases": [[p.name, p.epochs_run, p.final_valid_acc]
                    for p in report.phases],
         "eta_max": report.eta_max,
-        "finder_traces": [[list(step) for step in t.steps] + [t.stop_reason]
-                          for t in traces],
+        "finder_traces": [] if trace is None else [
+            [list(step) for step in trace.steps] + [trace.stop_reason]],
     }
 
 
@@ -73,15 +74,6 @@ def dump(src_dir: Path, out_path: Path) -> None:
     import lrbench.bench
     from workloads import WORKLOADS
 
-    traces = []
-    real_range_test = lrbench.bench.range_test
-
-    def recorded(*args, **kwargs):
-        trace = real_range_test(*args, **kwargs)
-        traces.append(trace)
-        return trace
-
-    lrbench.bench.range_test = recorded
     outputs = {}
     with tempfile.TemporaryDirectory() as data_dir:
         for name, (workload, seeds, fields) in SETS.items():
@@ -90,10 +82,8 @@ def dump(src_dir: Path, out_path: Path) -> None:
                               **fields)
                 data = lrbench.bench.load_bench_dataset(cfg)
                 for label in PIPELINES:
-                    traces.clear()
                     report = getattr(lrbench.bench, f"run_{label}")(cfg, data)
-                    outputs[f"{name} {seed} {label}"] = report_outputs(
-                        report, traces)
+                    outputs[f"{name} {seed} {label}"] = report_outputs(report)
                 print(f"{name} {seed}", file=sys.stderr)
     with open(out_path, "w") as fh:
         json.dump(outputs, fh)
