@@ -96,15 +96,21 @@ class Dense(Layer):
 
     def backward(self, grad_out, cache, need_input_grad=True):
         x = cache
-        self.grads[0][...] = x.T @ grad_out
+        np.matmul(x.T, grad_out, out=self.grads[0])
         if self.b is not None:
-            self.grads[1][...] = grad_out.sum(axis=0)
+            grad_out.sum(axis=0, out=self.grads[1])
         return grad_out @ self.W.T if need_input_grad else None
 
 
 # Rows per forward call in predict: inference then holds no more than a
 # training step at batch 16 does.
 _BLOCK_ROWS = 16
+
+# Multiply-adds per conv forward GEMM. Up to about 10^6 OpenBLAS (one
+# thread) takes its unpacked small-matrix sgemm path: at conv1's shape (8x27
+# weights) 4,629 cells took 22 us, 5,000 cells 51 us and all 18,496 cells of
+# a 16-row batch about 300 us in one GEMM.
+_CONV_GEMM_MADDS = 10**6
 
 
 def _window_shifts(k: int, width: int) -> list[int]:
@@ -122,9 +128,11 @@ class Conv2d(Layer):
     plus a tail that the last windows read past the end. Outputs are
     computed at every grid cell, and the cells whose window leaves the image
     are dropped, so the input a kernel offset meets is one contiguous slice
-    of the grid (see _window_shifts). Forward is im2col plus one GEMM. Only
-    the grid is cached: backward takes the weight gradient as one GEMM per
-    kernel offset and does col2im as k*k shifted adds.
+    of the grid (see _window_shifts). Forward is im2col plus GEMMs over
+    blocks of cells (see _CONV_GEMM_MADDS); the blocks start on multiples of
+    16 cells, so an image's outputs are the same bits in any batch. Only
+    the grid is cached: backward takes the weight gradient and the input
+    gradient as one GEMM per kernel offset each, on shifted grid slices.
     """
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int = 3,
@@ -157,10 +165,16 @@ class Conv2d(Layer):
         xf = np.zeros((c, cells + shifts[-1]), dtype=x.dtype)
         xf[:, :cells].reshape(c, n, hp, wp)[:, :, p:p + h, p:p + w] = \
             x.transpose(1, 0, 2, 3)
-        cols = np.empty((c, k * k, cells), dtype=x.dtype)
-        for i, shift in enumerate(shifts):
-            cols[:, i] = xf[:, shift:shift + cells]
-        y = self.W.reshape(o, -1) @ cols.reshape(c * k * k, cells)
+        y = np.empty((o, cells), dtype=x.dtype)
+        w2 = self.W.reshape(o, c * k * k)
+        step = max(16, _CONV_GEMM_MADDS // self.W.size // 16 * 16)
+        buf = np.empty(c * k * k * min(step, cells), dtype=x.dtype)
+        for start in range(0, cells, step):
+            m = min(step, cells - start)
+            cols = buf[:c * k * k * m].reshape(c, k * k, m)
+            for i, shift in enumerate(shifts):
+                cols[:, i] = xf[:, start + shift:start + shift + m]
+            np.matmul(w2, cols.reshape(c * k * k, m), out=y[:, start:start + m])
         y += self.b[:, None]
         return y.reshape(o, n, hp, wp)[:, :, :h, :w].transpose(1, 0, 2, 3), xf
 
@@ -185,12 +199,14 @@ class Conv2d(Layer):
         self.grads[1][...] = g2.sum(axis=1)
         if not need_input_grad:
             return None
-        # col2im: each kernel offset adds its rows of the column gradient
-        # into the grid gradient, shifted as forward read them
-        gcols = (self.W.reshape(o, -1).T @ g2).reshape(c, k * k, cells)
+        # each kernel offset's input gradient, added into the grid gradient
+        # shifted as forward read it
+        w3 = self.W.reshape(o, c, k * k)
+        gi = np.empty((c, cells), dtype=grad_out.dtype)
         gxf = np.zeros_like(xf)
         for i, shift in enumerate(shifts):
-            gxf[:, shift:shift + cells] += gcols[:, i]
+            np.matmul(w3[:, :, i].T, g2, out=gi)
+            gxf[:, shift:shift + cells] += gi
         return gxf[:, :cells].reshape(c, n, hp, wp)[
             :, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
 

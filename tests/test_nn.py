@@ -35,6 +35,15 @@ def conv_naive(x, W, b):
     return y
 
 
+def gemm_blocks_of_32_cells(monkeypatch, conv, rows, h, w):
+    """Make ``conv``'s forward run GEMMs of 32 grid cells, and check that its
+    grid for ``rows`` images of h x w ends in a shorter block."""
+    monkeypatch.setattr(lrbench.nn, "_CONV_GEMM_MADDS", 32 * conv.W.size)
+    k = conv.ksize
+    cells = rows * (h + k - 1) * (w + k - 1)
+    assert cells > 3 * 32 and cells % 32
+
+
 def pool_naive(x):
     n, c, h, w = x.shape
     y = np.zeros((n, c, h // 2, w // 2))
@@ -89,7 +98,7 @@ class TestForward:
         with pytest.raises(ShapeError, match="width"):
             forward(model, np.ones((2, 7)))
 
-    def test_conv_matches_naive_loops(self):
+    def check_conv_matches_naive_loops(self, monkeypatch=None):
         rng = f64_rng(5)
         # a batch that is not a multiple of the 16-row training batch
         rows = 19
@@ -99,11 +108,33 @@ class TestForward:
                           ((4, 6), 1), ((4, 6), 3), ((4, 6), 5)]:
             conv = Conv2d(2, 3, k, dtype=np.float64, rng=rng)
             conv.b[...] = rng.random(3)
+            if monkeypatch is not None:
+                gemm_blocks_of_32_cells(monkeypatch, conv, rows, h, w)
             x = rng.random((rows, 2, h, w))
             model = Model([conv], dtype=np.float64)
             y, _ = forward(model, x)
             assert y.shape == (rows, 3, h, w)
             assert np.allclose(y, conv_naive(x, conv.W, conv.b), atol=1e-12)
+
+    def test_conv_matches_naive_loops(self):
+        self.check_conv_matches_naive_loops()
+
+    def test_conv_matches_naive_loops_over_many_gemm_blocks(self, monkeypatch):
+        self.check_conv_matches_naive_loops(monkeypatch)
+
+    @pytest.mark.parametrize("c,o,hw", [(3, 8, 32), (8, 16, 16)])
+    def test_conv_rows_are_the_same_bits_in_any_batch(self, c, o, hw):
+        # the cifar CNN's two conv shapes in float32: each 16 rows of a
+        # 300-row forward, over many GEMM blocks, against a forward of those
+        # rows alone, as predict and a training step run them
+        conv = Conv2d(c, o, 3, rng=f64_rng(14))
+        conv.b[...] = f64_rng(15).standard_normal(o)
+        x = f64_rng(16).standard_normal((300, c, hw, hw)).astype(np.float32)
+        full, _ = conv.forward(x)
+        assert full.dtype == np.float32
+        for start in range(0, 300, 16):
+            part, _ = conv.forward(x[start:start + 16])
+            np.testing.assert_array_equal(full[start:start + 16], part)
 
     def test_pool_matches_naive_loops(self):
         rng = f64_rng(6)
@@ -303,9 +334,8 @@ class TestBackward:
                       dtype=np.float64)
         assert max_grad_rel_error(model, x, y) < 1e-4
 
-    @pytest.mark.parametrize("h,w", [(6, 4), (4, 6)])
-    @pytest.mark.parametrize("ksize", [1, 3, 5])
-    def test_conv_gradients_on_non_square_grids(self, h, w, ksize):
+    def check_conv_gradients_on_non_square_grids(self, h, w, ksize,
+                                                 monkeypatch=None):
         # 19 rows: a batch that is not a multiple of 16; the second conv's
         # input gradient reaches the first conv's weights
         rng = f64_rng(13)
@@ -317,7 +347,32 @@ class TestBackward:
                        Flatten(), Dense(2 * h * w, 2, dtype=np.float64,
                                         rng=rng)],
                       dtype=np.float64)
+        if monkeypatch is not None:
+            # both convs hold 6 * ksize**2 weights
+            gemm_blocks_of_32_cells(monkeypatch, model.layers[0], rows, h, w)
         assert max_grad_rel_error(model, x, y) < 1e-4
+
+    @pytest.mark.parametrize("h,w", [(6, 4), (4, 6)])
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    def test_conv_gradients_on_non_square_grids(self, h, w, ksize):
+        self.check_conv_gradients_on_non_square_grids(h, w, ksize)
+
+    @pytest.mark.parametrize("h,w", [(6, 4), (4, 6)])
+    @pytest.mark.parametrize("ksize", [1, 3, 5])
+    def test_conv_gradients_over_many_gemm_blocks(self, h, w, ksize,
+                                                  monkeypatch):
+        self.check_conv_gradients_on_non_square_grids(h, w, ksize, monkeypatch)
+
+    def test_dense_backward_writes_its_grads_in_place(self):
+        rng = f64_rng(17)
+        layer = Dense(48, 5, dtype=np.float32, rng=rng)
+        x = rng.standard_normal((16, 48)).astype(np.float32)
+        g = rng.standard_normal((16, 5)).astype(np.float32)
+        arrays = list(layer.grads)
+        layer.backward(g, x, need_input_grad=False)
+        assert all(a is b for a, b in zip(layer.grads, arrays))
+        np.testing.assert_array_equal(layer.grads[0], x.T @ g)
+        np.testing.assert_array_equal(layer.grads[1], g.sum(axis=0))
 
     def test_lowest_trainable_layer_skips_its_input_gradient(self):
         # every parameterized layer trains, so the lowest trainable layer is
