@@ -197,16 +197,19 @@ def finish_report(model: Model, valid_ds: Dataset, phases: list[PhaseResult],
 
 
 def run_conventional(cfg: BenchConfig,
-                     data: tuple[Dataset, Dataset] | None = None) -> RunReport:
+                     data: tuple[Dataset, Dataset] | None = None,
+                     history: list[EpochRecord] | None = None) -> RunReport:
     """Fixed-rate baseline: lr1 until early stopping, then lr2 until early
     stopping or the accuracy target. The target is only checked in the second
     phase; if the first already met it, train_phase skips the second (0
-    epochs). No L2 penalty here, that belongs to the optimized scheme."""
+    epochs). No L2 penalty here, that belongs to the optimized scheme.
+    Epochs are appended to ``history`` as they finish, so a caller that
+    passes a list keeps them when a phase diverges."""
     train_ds, valid_ds = data if data is not None else load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
     train_cfg = replace(cfg.train, weight_decay=0.0)
     phases: list[PhaseResult] = []
-    history: list[EpochRecord] = []
+    history = [] if history is None else history
     train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
         phase_name="fixed_lr1", phases=phases, lr_fn=lambda t: cfg.lr1,
@@ -221,7 +224,8 @@ def run_conventional(cfg: BenchConfig,
 
 
 def run_optimized(cfg: BenchConfig,
-                  data: tuple[Dataset, Dataset] | None = None) -> RunReport:
+                  data: tuple[Dataset, Dataset] | None = None,
+                  history: list[EpochRecord] | None = None) -> RunReport:
     """Three-phase pipeline: (1) cache the head's inputs for both splits
     from one pass through the body, then pick the peak rate with a range
     test of the head view (the final group alone) on the cached training
@@ -233,13 +237,14 @@ def run_optimized(cfg: BenchConfig,
     which equals the full model's. Validation accuracy is checked
     after every epoch in phases 2 and 3; reaching the target ends the
     pipeline: train_phase skips phase 3 (0 epochs) after a head that
-    already meets it. Phases 2 and 3 draw seed streams 2 and 3.
+    already meets it. Phases 2 and 3 draw seed streams 2 and 3. Epochs are
+    appended to ``history`` as in run_conventional.
 
     Raises NoDescentFound if the range test yields no usable suggestion.
     """
     train_ds, valid_ds = data if data is not None else load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
-    history: list[EpochRecord] = []
+    history = [] if history is None else history
 
     start = time.perf_counter()
     body, head = split_head(model)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,18 @@ def _out_dir(args) -> Path:
     return out
 
 
+@contextmanager
+def _keeping_history(path: Path, history: list):
+    """On a divergence inside the block, write the epochs ``history`` holds
+    to ``path`` and print its ``wrote`` line; the error then exits 5."""
+    try:
+        yield
+    except FloatingPointError:
+        write_history_csv(path, history)
+        print(f"wrote {path}")
+        raise
+
+
 def cmd_lr_find(args) -> None:
     cfg = _bench_config(args)
     train_ds, _ = load_bench_dataset(cfg)
@@ -101,19 +114,13 @@ def cmd_train(args) -> None:
     train_ds, valid_ds = load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
     phases, history = [], []
-    try:
+    with _keeping_history(_out_dir(args) / "history.csv", history):
         phase = train_phase(
             model, train_ds.images, train_ds.labels, valid_ds.images,
             valid_ds.labels, phase_name="sgdr", phases=phases,
             lr_fn=lambda t: lr_at(t, cfg.sched), cfg=cfg.train,
             history=history, patience=cfg.patience, min_delta=cfg.min_delta,
             target_accuracy=cfg.target_accuracy)
-    except FloatingPointError:
-        # keep the epochs finished before the divergence; run exits 5
-        path = _out_dir(args) / "history.csv"
-        write_history_csv(path, history)
-        print(f"wrote {path}")
-        raise
     report = finish_report(model, valid_ds, phases, history,
                            cfg.target_accuracy)
     for path in emit_report(report, _out_dir(args)):
@@ -129,11 +136,15 @@ def cmd_benchmark(args) -> None:
     cfg = _bench_config(args)
     data = load_bench_dataset(cfg)
     out = _out_dir(args)
-    conv = run_conventional(cfg, data)
+    history = []
+    with _keeping_history(out / "conventional_history.csv", history):
+        conv = run_conventional(cfg, data, history)
     # written first, so a divergence in the optimized run keeps them
     for path in emit_report(conv, out, "conventional_"):
         print(f"wrote {path}")
-    opt = run_optimized(cfg, data)
+    history = []
+    with _keeping_history(out / "optimized_history.csv", history):
+        opt = run_optimized(cfg, data, history)
     for path in emit_report(opt, out, "optimized_"):
         print(f"wrote {path}")
     print(f"conventional: acc={conv.accuracy:.4f} "

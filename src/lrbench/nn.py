@@ -116,7 +116,9 @@ _CONV_GEMM_MADDS = 10**6
 def _window_shifts(k: int, width: int) -> list[int]:
     """Where a k x k window reads on a flat padded grid whose rows are
     ``width`` cells wide: for each kernel offset (di, dj), row-major, the
-    distance di*width + dj from the window's first cell."""
+    distance di*width + dj from the window's first cell. On Conv2d's grid
+    a window that runs off an image's edge lands on the zero columns and
+    rows the image shares with its neighbours."""
     return [di * width + dj for di in range(k) for dj in range(k)]
 
 
@@ -124,15 +126,21 @@ class Conv2d(Layer):
     """Square convolution with an odd kernel, stride 1, zero padding that
     preserves H and W.
 
-    Works on a channel-major flat padded grid: (c, n*(h+2p)*(w+2p)) cells
-    plus a tail that the last windows read past the end. Outputs are
-    computed at every grid cell, and the cells whose window leaves the image
-    are dropped, so the input a kernel offset meets is one contiguous slice
-    of the grid (see _window_shifts). Forward is im2col plus GEMMs over
-    blocks of cells (see _CONV_GEMM_MADDS); the blocks start on multiples of
-    16 cells, so an image's outputs are the same bits in any batch. Only
-    the grid is cached: backward takes the weight gradient and the input
-    gradient as one GEMM per kernel offset each, on shifted grid slices.
+    Works on a channel-major flat padded grid whose neighbouring images
+    share their zero padding. With p = k // 2, each grid row holds w image
+    cells and p zero columns, each image h rows and p zero rows, and
+    p*(w+p)+p zero cells stand before the first image: a window that runs
+    off an image's edge reads those zero columns (its own row's or the row
+    before's) or zero rows (its own image's or the image before's). That is
+    (c, n*(h+p)*(w+p)) cells plus 2p*(w+p+1) zero cells in front and behind.
+    Outputs are computed at every cell of the n*(h+p) rows, and the cells
+    whose window leaves the image are dropped, so the input a kernel offset
+    meets is one contiguous slice of the grid (see _window_shifts). Forward
+    is im2col plus GEMMs over blocks of cells (see _CONV_GEMM_MADDS); the
+    blocks start on multiples of 16 cells, so an image's outputs are the
+    same bits in any batch. Only the grid is cached: backward takes the
+    weight gradient and the input gradient as one GEMM per kernel offset
+    each, on shifted grid slices.
     """
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int = 3,
@@ -159,11 +167,12 @@ class Conv2d(Layer):
             )
         n, c, h, w = x.shape
         o, k, p = self.W.shape[0], self.ksize, self.pad
-        hp, wp = h + 2 * p, w + 2 * p
+        hp, wp = h + p, w + p
         cells = n * hp * wp
         shifts = _window_shifts(k, wp)
         xf = np.zeros((c, cells + shifts[-1]), dtype=x.dtype)
-        xf[:, :cells].reshape(c, n, hp, wp)[:, :, p:p + h, p:p + w] = \
+        front = p * (wp + 1)
+        xf[:, front:front + cells].reshape(c, n, hp, wp)[:, :, :h, :w] = \
             x.transpose(1, 0, 2, 3)
         y = np.empty((o, cells), dtype=x.dtype)
         w2 = self.W.reshape(o, c * k * k)
@@ -182,7 +191,7 @@ class Conv2d(Layer):
         xf = cache
         n, o, h, w = grad_out.shape
         c, k, p = xf.shape[0], self.ksize, self.pad
-        hp, wp = h + 2 * p, w + 2 * p
+        hp, wp = h + p, w + p
         cells = n * hp * wp
         shifts = _window_shifts(k, wp)
         # the output gradient on the grid, zero at the dropped cells
@@ -207,8 +216,9 @@ class Conv2d(Layer):
         for i, shift in enumerate(shifts):
             np.matmul(w3[:, :, i].T, g2, out=gi)
             gxf[:, shift:shift + cells] += gi
-        return gxf[:, :cells].reshape(c, n, hp, wp)[
-            :, :, p:p + h, p:p + w].transpose(1, 0, 2, 3)
+        front = p * (wp + 1)
+        return gxf[:, front:front + cells].reshape(c, n, hp, wp)[
+            :, :, :h, :w].transpose(1, 0, 2, 3)
 
 
 class ReLU(Layer):

@@ -320,7 +320,7 @@ class TestBenchmarkCommand:
 
     def test_optimized_divergence_keeps_the_conventional_report(
             self, tmp_path, tiny_config_file, capsys, monkeypatch):
-        def diverge(cfg, data):
+        def diverge(cfg, data, history):
             raise NonFiniteLossError(float("nan"))
 
         monkeypatch.setattr(lrbench.cli, "run_optimized", diverge)
@@ -333,10 +333,43 @@ class TestBenchmarkCommand:
                    if line.startswith("wrote ")]
         names = ("history.csv", "confusion.csv", "summary.txt")
         assert written == [f"wrote {out / f'conventional_{name}'}"
-                           for name in names]
+                           for name in names] + [
+            f"wrote {out / 'optimized_history.csv'}"]
         assert all((out / f"conventional_{name}").exists() for name in names)
-        assert not list(out.glob("optimized_*"))
+        # the optimized run diverged before its first epoch finished
+        assert list(out.glob("optimized_*")) == [out / "optimized_history.csv"]
+        assert (out / "optimized_history.csv").read_text().count("\n") == 1
         assert "speedup:" not in captured.out
+
+    @pytest.mark.parametrize("pipeline,keys,phase", [
+        # a rate of 50000 in batches of 64 trains blobs for one epoch before
+        # the loss overflows
+        ("conventional", "batch_size = 64\nlr1 = 50000\nmomentum = 0.0\n",
+         "fixed_lr1"),
+        # on noisy blobs the head trains for its 3 epochs below the target;
+        # fine-tuning at 1e8 then overflows at once
+        ("optimized", "blobs_noise = 1.0\nhead_epochs = 3\nrate_initial = 1e8\n"
+         "rate_mid = 1e8\nrate_final = 1e8\n", "head_sgdr"),
+    ], ids=["conventional", "optimized"])
+    def test_divergence_keeps_the_finished_epochs(self, tmp_path, capsys,
+                                                  pipeline, keys, phase):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("n_per_class = 40\nmax_epochs = 6\n"
+                       "target_accuracy = 0.999\n" + keys)
+        out = tmp_path / "out"
+        assert run(["benchmark", "--config", str(cfg), "--out", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: training diverged: non-finite")
+        path = out / f"{pipeline}_history.csv"
+        assert captured.out.splitlines()[-1] == f"wrote {path}"
+        assert list(out.glob(f"{pipeline}_*")) == [path]
+        with open(path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert 1 <= len(rows) < 6
+        assert [int(r["epoch"]) for r in rows] == list(range(len(rows)))
+        assert all(r["phase"] == phase
+                   and math.isfinite(float(r["train_loss"]))
+                   and math.isfinite(float(r["valid_loss"])) for r in rows)
 
     def test_optimized_finder_trace_gives_eta_max(self, tmp_path,
                                                   tiny_config_file):

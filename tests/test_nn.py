@@ -39,9 +39,16 @@ def gemm_blocks_of_32_cells(monkeypatch, conv, rows, h, w):
     """Make ``conv``'s forward run GEMMs of 32 grid cells, and check that its
     grid for ``rows`` images of h x w ends in a shorter block."""
     monkeypatch.setattr(lrbench.nn, "_CONV_GEMM_MADDS", 32 * conv.W.size)
-    k = conv.ksize
-    cells = rows * (h + k - 1) * (w + k - 1)
+    _, grid = conv.forward(np.zeros((rows, conv.W.shape[1], h, w)))
+    # the GEMMs run over the grid less the zero tail its last windows read
+    p = conv.pad
+    cells = grid.shape[1] - 2 * p * (w + p + 1)
     assert cells > 3 * 32 and cells % 32
+
+
+# images no larger than the padding: every window reads the zero rows and
+# columns that an image shares with its neighbours
+SMALL_IMAGES = [(1, 2, 5), (2, 1, 5), (2, 2, 5), (2, 2, 7)]
 
 
 def pool_naive(x):
@@ -121,6 +128,30 @@ class TestForward:
 
     def test_conv_matches_naive_loops_over_many_gemm_blocks(self, monkeypatch):
         self.check_conv_matches_naive_loops(monkeypatch)
+
+    @pytest.mark.parametrize("h,w,ksize", SMALL_IMAGES)
+    def test_conv_matches_naive_loops_on_images_no_larger_than_the_padding(
+            self, h, w, ksize):
+        rng = f64_rng(18)
+        conv = Conv2d(2, 3, ksize, dtype=np.float64, rng=rng)
+        conv.b[...] = rng.random(3)
+        x = rng.random((3, 2, h, w))
+        y, _ = conv.forward(x)
+        assert np.allclose(y, conv_naive(x, conv.W, conv.b), atol=1e-12)
+
+    @pytest.mark.parametrize("n,c,h,w,ksize", [
+        (16, 3, 32, 32, 3), (16, 8, 16, 16, 3), (3, 2, 6, 4, 5),
+        (3, 2, 4, 6, 1), (3, 2, 1, 2, 5), (3, 2, 2, 2, 7)])
+    def test_conv_grid_shares_the_padding_between_neighbours(self, n, c, h, w,
+                                                             ksize):
+        # each image takes (h+p) rows of w+p cells, and the windows of the
+        # first and last rows read p*(w+p)+p zero cells before and after
+        p = ksize // 2
+        conv = Conv2d(c, 2, ksize)
+        _, grid = conv.forward(np.ones((n, c, h, w), dtype=np.float32))
+        assert grid.shape == (c, n * (h + p) * (w + p)
+                              + (ksize - 1) * (w + p + 1))
+        assert grid.sum() == n * c * h * w
 
     @pytest.mark.parametrize("c,o,hw", [(3, 8, 32), (8, 16, 16)])
     def test_conv_rows_are_the_same_bits_in_any_batch(self, c, o, hw):
@@ -335,11 +366,10 @@ class TestBackward:
         assert max_grad_rel_error(model, x, y) < 1e-4
 
     def check_conv_gradients_on_non_square_grids(self, h, w, ksize,
-                                                 monkeypatch=None):
-        # 19 rows: a batch that is not a multiple of 16; the second conv's
-        # input gradient reaches the first conv's weights
+                                                 monkeypatch=None, rows=19):
+        # 19 rows by default: a batch that is not a multiple of 16; the
+        # second conv's input gradient reaches the first conv's weights
         rng = f64_rng(13)
-        rows = 19
         x = rng.random((rows, 2, h, w))
         y = rng.integers(0, 2, size=rows)
         model = Model([Conv2d(2, 3, ksize, dtype=np.float64, rng=rng), ReLU(),
@@ -362,6 +392,11 @@ class TestBackward:
     def test_conv_gradients_over_many_gemm_blocks(self, h, w, ksize,
                                                   monkeypatch):
         self.check_conv_gradients_on_non_square_grids(h, w, ksize, monkeypatch)
+
+    @pytest.mark.parametrize("h,w,ksize", SMALL_IMAGES)
+    def test_conv_gradients_on_images_no_larger_than_the_padding(self, h, w,
+                                                               ksize):
+        self.check_conv_gradients_on_non_square_grids(h, w, ksize, rows=3)
 
     def test_dense_backward_writes_its_grads_in_place(self):
         rng = f64_rng(17)

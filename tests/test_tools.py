@@ -76,6 +76,34 @@ class TestCompare:
         assert lines[2].endswith("valid_loss inf")
         assert seeded_outputs.relative_change(float("nan"), float("nan")) == 0
 
+    def test_a_set_that_differs_ends_in_one_summary_line(self, write_dump,
+                                                         capsys):
+        rounded = report(0.4)
+        rounded["history"][0][3] = 1.0 + 2e-7
+        decided = report()
+        decided["eta_max"] = 0.2
+        decided["confusion"] = [[4, 0], [0, 4]]
+        keys = [f"{name} {seed} optimized" for name in
+                ("blobs-mlp", "cifar-cnn", "cifar-mlp") for seed in (1, 2)]
+        before = write_dump("before.json", {key: report() for key in keys})
+        after = write_dump("after.json", {
+            key: {"cifar-cnn 1 optimized": rounded,
+                  "cifar-mlp 2 optimized": decided}.get(key, report())
+            for key in keys})
+        assert seeded_outputs.compare(before, after) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not line.startswith("  ")] == [
+            "blobs-mlp: 0 of 2 reports differ",
+            "cifar-cnn: 1 of 2 reports differ",
+            "cifar-cnn summary: 1 of 2 reports differ; largest valid_acc "
+            "change 0, largest relative train_loss change 2e-07, valid_loss "
+            "0.2; epochs, eta_max, reached and confusion equal in every "
+            "report",
+            "cifar-mlp: 1 of 2 reports differ",
+            "cifar-mlp summary: 1 of 2 reports differ; largest valid_acc "
+            "change 0, largest relative train_loss change 0, valid_loss 0; "
+            "eta_max, confusion differ"]
+
     def test_dumps_over_different_seeds(self, write_dump, capsys):
         before = write_dump("before.json", {"blobs-mlp 0 optimized": report()})
         after = write_dump("after.json", {"blobs-mlp 1 optimized": report()})

@@ -19,8 +19,11 @@ reached on both sides, and the epoch and phase of the first history row that
 differs. For a history that differs it also prints how far it moved over the
 rows both sides have: the largest absolute change of valid_acc and the
 largest relative change of train_loss and of valid_loss, so that a change
-in float rounding can be told apart from a change in behaviour. It exits 1
-when any report differs.
+in float rounding can be told apart from a change in behaviour. A set with
+differing reports ends in one summary line: how many differ, the largest of
+those three changes over them, and whether the epochs of each phase,
+eta_max, reached and the confusion matrix are equal in every report. It
+exits 1 when any report differs.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def relative_change(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def history_movement(before: dict, after: dict) -> str:
+def history_movement(before: dict, after: dict) -> tuple[float, ...]:
     """How far the history moved over the rows both sides have: the largest
     absolute change of valid_acc and the largest relative change of
     train_loss and of valid_loss."""
@@ -120,8 +123,33 @@ def history_movement(before: dict, after: dict) -> str:
     acc = max((abs(a[5] - b[5]) for a, b in rows), default=0.0)
     train, valid = (max((relative_change(a[col], b[col]) for a, b in rows),
                         default=0.0) for col in (3, 4))
-    return (f"; largest valid_acc change {acc:.3g}, largest relative "
+    return acc, train, valid
+
+
+def movement_text(acc: float, train: float, valid: float) -> str:
+    return (f"largest valid_acc change {acc:.3g}, largest relative "
             f"train_loss change {train:.3g}, valid_loss {valid:.3g}")
+
+
+def outcome(out: dict) -> dict:
+    """What a run decided, apart from its losses: the epochs of each phase,
+    eta_max, reached and the confusion matrix."""
+    return {"epochs": [p[1] for p in out["phases"]], "eta_max": out["eta_max"],
+            "reached": out["reached"], "confusion": out["confusion"]}
+
+
+def set_summary(name: str, total: int, pairs: list[tuple[dict, dict]]) -> str:
+    """One line for a set whose ``pairs`` of (before, after) reports differ:
+    how many, how far their histories moved at most, and which outcome
+    fields differ in any of them."""
+    moved = [history_movement(a, b) for a, b in pairs]
+    sides = [(outcome(a), outcome(b)) for a, b in pairs]
+    unequal = [f for f in sides[0][0]
+               if any(json.dumps(x[f]) != json.dumps(y[f]) for x, y in sides)]
+    return (f"{name} summary: {len(pairs)} of {total} reports differ; "
+            f"{movement_text(*map(max, zip(*moved)))}; "
+            + (f"{', '.join(unequal)} differ" if unequal else
+               "epochs, eta_max, reached and confusion equal in every report"))
 
 
 def compare(before_path: Path, after_path: Path) -> int:
@@ -150,12 +178,16 @@ def compare(before_path: Path, after_path: Path) -> int:
                 epochs = sum(p[1] for p in out["phases"])
                 sides.append(f"eta_max {out['eta_max']!r}, {epochs} epochs, "
                              f"reached {out['reached']}")
-            moved = (history_movement(before[key], after[key])
+            moved = ("; " + movement_text(*history_movement(before[key],
+                                                             after[key]))
                      if "history" in fields else "")
             print(f"  {key}: {', '.join(fields)}; "
                   f"before {sides[0]}; after {sides[1]}"
                   f"{first_history_difference(before[key], after[key])}"
                   f"{moved}")
+        if rows:
+            print(set_summary(name, total,
+                              [(before[key], after[key]) for key, _ in rows]))
     return 1 if any(differ.values()) else 0
 
 
