@@ -342,8 +342,7 @@ def emit_report(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
 
     if report.finder_trace is not None:
         trace_path = out_dir / f"{prefix}finder_trace.csv"
-        with open(trace_path, "w") as fh:
-            write_trace_csv(report.finder_trace, fh)
+        write_trace_csv(trace_path, report.finder_trace)
         paths.append(trace_path)
 
     text_path = out_dir / f"{prefix}summary.txt"

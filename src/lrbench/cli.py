@@ -8,8 +8,9 @@ Subcommands:
   schedule-dump  write the cosine schedule as CSV for inspection
   confusion      build a confusion matrix from a true/pred CSV
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 no usable range-test
-suggestion, 5 training diverged (non-finite loss or activations).
+Exit codes: 0 success, 2 config error or a setting too large to allocate,
+3 data error, 4 no usable range-test suggestion, 5 training diverged
+(non-finite loss or activations).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .bench import (build_model, confusion, emit_report, finish_report,
                     run_range_test, speedup, write_confusion_csv,
                     write_history_csv)
 from .config import build_bench_config, parse_config_file
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .finder import NoDescentFound, suggest_lr, write_trace_csv
 from .groups import precompute_features, split_head
 from .schedule import dump_schedule, lr_at, write_schedule_csv
@@ -102,8 +103,7 @@ def cmd_lr_find(args) -> None:
     trace = run_range_test(cfg, head, precompute_features(body, train_ds.images),
                            train_ds.labels)
     trace_path = _out_dir(args) / "finder_trace.csv"
-    with open(trace_path, "w") as fh:
-        write_trace_csv(trace, fh)
+    write_trace_csv(trace_path, trace)
     print(f"trace: {trace_path} ({len(trace.steps)} steps, {trace.stop_reason})")
     suggestion = suggest_lr(trace)
     print(f"suggested_lr: {suggestion!r}")
@@ -159,8 +159,7 @@ def cmd_schedule_dump(args) -> None:
     cfg = _bench_config(args)
     rows = dump_schedule(cfg.sched, args.iters)
     path = _out_dir(args) / "schedule.csv"
-    with open(path, "w") as fh:
-        write_schedule_csv(rows, fh)
+    write_schedule_csv(path, rows)
     print(f"wrote {path} ({len(rows)} iterations)")
 
 
@@ -233,15 +232,12 @@ def run(argv=None) -> int:
     except FloatingPointError as err:
         print(f"error: training diverged: {err}", file=sys.stderr)
         return 5
-    except DataError as err:
+    except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as err:
+    except (ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -132,11 +132,8 @@ def build_bench_config(raw: dict | None = None, overrides: dict | None = None
 
     parts["train"].setdefault(
         "augment", parts["bench"].get("dataset", "blobs").startswith("cifar10"))
-    try:
-        return BenchConfig(train=TrainConfig(**parts["train"]),
-                           sched=replace(BenchConfig().sched, **parts["sched"]),
-                           rates=LayerGroupRates(**parts["rates"]),
-                           finder=RangeTestConfig(**parts["finder"]),
-                           **parts["bench"])
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return BenchConfig(train=TrainConfig(**parts["train"]),
+                       sched=replace(BenchConfig().sched, **parts["sched"]),
+                       rates=LayerGroupRates(**parts["rates"]),
+                       finder=RangeTestConfig(**parts["finder"]),
+                       **parts["bench"])

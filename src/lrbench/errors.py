@@ -3,13 +3,14 @@
 
 class LRBenchError(Exception):
     """Base class for the configuration and data errors below. The errors
-    that extend a builtin type do not derive from it: nn.ShapeError and
-    schedule.InvalidScheduleError (ValueError), nn.NonFiniteLossError
-    (FloatingPointError) and finder.NoDescentFound (RuntimeError)."""
+    that extend only a builtin type do not derive from it: nn.ShapeError
+    (ValueError), nn.NonFiniteLossError (FloatingPointError) and
+    finder.NoDescentFound (RuntimeError)."""
 
 
-class ConfigError(LRBenchError):
-    """Invalid configuration file, key, or value."""
+class ConfigError(LRBenchError, ValueError):
+    """Invalid configuration file, key, or value; every config object's
+    validation raises it."""
 
 
 class DataError(LRBenchError):

@@ -14,10 +14,10 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
+from .errors import ConfigError
 from .nn import Model, NonFiniteLossError, train_step
 
 __all__ = [
@@ -52,20 +52,20 @@ class RangeTestConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lr_lo < self.lr_hi:
-            raise ValueError(
+            raise ConfigError(
                 f"need 0 < lr_lo < lr_hi, got lr_lo={self.lr_lo} lr_hi={self.lr_hi}"
             )
         if not math.isfinite(self.lr_hi / self.lr_lo):
-            raise ValueError(
+            raise ConfigError(
                 f"lr_hi / lr_lo overflows, so the ramp would step at inf: "
                 f"lr_lo={self.lr_lo} lr_hi={self.lr_hi}"
             )
         if self.n_steps < 10:
-            raise ValueError(f"n_steps must be >= 10, got {self.n_steps}")
+            raise ConfigError(f"n_steps must be >= 10, got {self.n_steps}")
         if not 0.0 <= self.smoothing_beta < 1.0:
-            raise ValueError(f"smoothing_beta must be in [0, 1), got {self.smoothing_beta}")
+            raise ConfigError(f"smoothing_beta must be in [0, 1), got {self.smoothing_beta}")
         if not self.divergence_factor > 1.0:
-            raise ValueError(
+            raise ConfigError(
                 f"divergence_factor must be > 1, got {self.divergence_factor}"
             )
 
@@ -183,9 +183,10 @@ def suggest_lr(trace: LRFinderTrace) -> float:
     return best_lr
 
 
-def write_trace_csv(trace: LRFinderTrace, out: IO[str]) -> None:
+def write_trace_csv(path, trace: LRFinderTrace) -> None:
     """One row per step, with the trace's stop reason on every row, so the
     file alone gives back suggest_lr's suggestion."""
-    out.write("step,lr,raw_loss,smoothed_loss,stop_reason\n")
-    for i, (lr, raw, smoothed) in enumerate(trace.steps):
-        out.write(f"{i},{lr!r},{raw!r},{smoothed!r},{trace.stop_reason}\n")
+    with open(path, "w") as fh:
+        fh.write("step,lr,raw_loss,smoothed_loss,stop_reason\n")
+        for i, (lr, raw, smoothed) in enumerate(trace.steps):
+            fh.write(f"{i},{lr!r},{raw!r},{smoothed!r},{trace.stop_reason}\n")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import ConfigError
 from .nn import Model, predict
 from .schedule import CosineCycleConfig, lr_at
 
@@ -38,9 +39,9 @@ class LayerGroupRates:
 
     def __post_init__(self) -> None:
         if not (self.initial > 0 and self.mid > 0 and self.final > 0):
-            raise ValueError(f"group rates must all be > 0, got {self}")
+            raise ConfigError(f"group rates must all be > 0, got {self}")
         if not self.initial <= self.mid <= self.final:
-            raise ValueError(f"need initial <= mid <= final, got {self}")
+            raise ConfigError(f"need initial <= mid <= final, got {self}")
 
 
 def split_head(model: Model) -> tuple[Model, Model]:

@@ -14,20 +14,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
+
+from .errors import ConfigError
 
 __all__ = [
     "CosineCycleConfig",
-    "InvalidScheduleError",
     "cosine_lr",
     "lr_at",
     "dump_schedule",
     "write_schedule_csv",
 ]
-
-
-class InvalidScheduleError(ValueError):
-    """A schedule config or argument violates its invariants."""
 
 
 @dataclass(frozen=True)
@@ -47,14 +44,14 @@ class CosineCycleConfig:
 
     def __post_init__(self) -> None:
         if not (self.eta_max > self.eta_min >= 0.0):
-            raise InvalidScheduleError(
+            raise ConfigError(
                 f"need eta_max > eta_min >= 0, got eta_max={self.eta_max} "
                 f"eta_min={self.eta_min}"
             )
         if not isinstance(self.t0, int) or self.t0 < 1:
-            raise InvalidScheduleError(f"t0 must be an integer >= 1, got {self.t0!r}")
+            raise ConfigError(f"t0 must be an integer >= 1, got {self.t0!r}")
         if not isinstance(self.mult, int) or self.mult < 1:
-            raise InvalidScheduleError(f"mult must be an integer >= 1, got {self.mult!r}")
+            raise ConfigError(f"mult must be an integer >= 1, got {self.mult!r}")
 
 
 def cosine_lr(t_within: int, cycle_len: int, cfg: CosineCycleConfig) -> float:
@@ -65,9 +62,9 @@ def cosine_lr(t_within: int, cycle_len: int, cfg: CosineCycleConfig) -> float:
     ``eta_min`` at ``t_within == cycle_len``.
     """
     if cycle_len < 1:
-        raise InvalidScheduleError(f"cycle length must be >= 1, got {cycle_len}")
+        raise ValueError(f"cycle length must be >= 1, got {cycle_len}")
     if not 0 <= t_within <= cycle_len:
-        raise InvalidScheduleError(
+        raise ValueError(
             f"t_within={t_within} outside [0, {cycle_len}]"
         )
     if t_within == 0:
@@ -82,7 +79,7 @@ def lr_at(t_global: int, cfg: CosineCycleConfig) -> float:
     """Annealed rate at a global iteration; restarts to ``eta_max`` at every
     cycle boundary."""
     if t_global < 0:
-        raise InvalidScheduleError(f"t_global must be >= 0, got {t_global}")
+        raise ValueError(f"t_global must be >= 0, got {t_global}")
     if cfg.mult == 1:  # constant cycles: O(1) instead of a walk per cycle
         return cosine_lr(t_global % cfg.t0, cfg.t0, cfg)
     within = t_global
@@ -96,16 +93,17 @@ def lr_at(t_global: int, cfg: CosineCycleConfig) -> float:
 def dump_schedule(cfg: CosineCycleConfig, n_iters: int) -> list[tuple[int, float]]:
     """The first ``n_iters`` points of the schedule as (t, rate) pairs."""
     if n_iters < 1:
-        raise InvalidScheduleError(f"n_iters must be >= 1, got {n_iters}")
+        raise ValueError(f"n_iters must be >= 1, got {n_iters}")
     return [(t, lr_at(t, cfg)) for t in range(n_iters)]
 
 
-def write_schedule_csv(rows: Sequence[tuple[int, float]], out: IO[str]) -> None:
-    """Write dump_schedule output as CSV with header ``t,lr``.
+def write_schedule_csv(path, rows: Sequence[tuple[int, float]]) -> None:
+    """Write dump_schedule output to ``path`` as CSV with header ``t,lr``.
 
     Rates are printed with 18 significant digits so parsing the file
     reproduces the exact float values.
     """
-    out.write("t,lr\n")
-    for t, lr in rows:
-        out.write(f"{t},{lr:.17e}\n")
+    with open(path, "w") as fh:
+        fh.write("t,lr\n")
+        for t, lr in rows:
+            fh.write(f"{t},{lr:.17e}\n")

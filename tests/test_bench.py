@@ -1,5 +1,4 @@
 import csv
-import io
 import math
 
 import numpy as np
@@ -434,6 +433,5 @@ class TestEmitReport:
         assert [p.name for p in paths] == [
             "optimized_history.csv", "optimized_confusion.csv",
             "optimized_finder_trace.csv", "optimized_summary.txt"]
-        expected = io.StringIO()
-        write_trace_csv(report.finder_trace, expected)
-        assert paths[2].read_text() == expected.getvalue()
+        write_trace_csv(tmp_path / "expected.csv", report.finder_trace)
+        assert paths[2].read_text() == (tmp_path / "expected.csv").read_text()

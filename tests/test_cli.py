@@ -1,5 +1,4 @@
 import csv
-import io
 import math
 from dataclasses import fields, is_dataclass
 
@@ -12,10 +11,11 @@ from lrbench.cli import main, run
 from lrbench.config import (_SCHEMA, CONFIG_KEYS, build_bench_config,
                             parse_config_file)
 from lrbench.errors import ConfigError
-from lrbench.finder import (LRFinderTrace, range_test, suggest_lr,
-                            write_trace_csv)
-from lrbench.groups import precompute_features, split_head
+from lrbench.finder import (LRFinderTrace, RangeTestConfig, range_test,
+                            suggest_lr, write_trace_csv)
+from lrbench.groups import LayerGroupRates, precompute_features, split_head
 from lrbench.nn import NonFiniteLossError
+from lrbench.schedule import CosineCycleConfig
 
 TINY_CONFIG = """\
 # desk-scale smoke config
@@ -31,6 +31,20 @@ finder_beta = 0.9
 finder_batch = 64
 target_accuracy = 0.95
 """
+
+
+# one out-of-range value per config key; a key missing here fails its case
+BAD_VALUES = {
+    "dataset": "imagenet", "model": "rnn", "seed": "-1", "batch_size": "0",
+    "momentum": "1", "weight_decay": "-1", "max_epochs": "0",
+    "augment": "maybe", "eta_max": "0", "eta_min": "-0.1", "t0": "0",
+    "mult": "0", "rate_initial": "0", "rate_mid": "0", "rate_final": "0",
+    "finder_lo": "0", "finder_hi": "0", "finder_steps": "9",
+    "finder_beta": "1", "finder_divergence": "1", "finder_batch": "0",
+    "target_accuracy": "1", "lr1": "0", "lr2": "0", "head_epochs": "0",
+    "patience": "-1", "min_delta": "-1", "blobs_noise": "-1",
+    "n_per_class": "0", "split_num": "0", "split_den": "0",
+}
 
 
 @pytest.fixture
@@ -120,6 +134,18 @@ class TestBuildBenchConfig:
             build_bench_config({"lr1": "0.001", "lr2": "0.01"})
         with pytest.raises(ConfigError):
             build_bench_config({"momentum": "1.5"})
+
+    @pytest.mark.parametrize("make", [
+        lambda: CosineCycleConfig(eta_max=0.01, t0=0),
+        lambda: RangeTestConfig(n_steps=9),
+        lambda: LayerGroupRates(0.0, 1e-3, 1e-2),
+    ], ids=["CosineCycleConfig", "RangeTestConfig", "LayerGroupRates"])
+    def test_every_config_object_raises_config_error(self, make):
+        # one error type for every bad setting, still a ValueError to
+        # callers that catch that
+        with pytest.raises(ConfigError) as info:
+            make()
+        assert isinstance(info.value, ValueError)
 
     def test_infinite_divergence_factor_allowed(self):
         # inf stops the range test only on a non-finite loss; nan is no
@@ -249,9 +275,9 @@ class TestLrFind:
                            (precompute_features(body, train_ds.images),
                             train_ds.labels),
                            cfg.finder, rng_seed=cfg.train.seed, batch_size=128)
-        expected = io.StringIO()
-        write_trace_csv(trace, expected)
-        assert (out / "finder_trace.csv").read_text() == expected.getvalue()
+        write_trace_csv(tmp_path / "expected.csv", trace)
+        assert ((out / "finder_trace.csv").read_text()
+                == (tmp_path / "expected.csv").read_text())
 
     def test_no_descent_exits_4_but_keeps_trace(self, tmp_path, capsys):
         # a ramp starting far beyond the divergence point leaves too few
@@ -428,6 +454,32 @@ class TestExitCodes:
                   if line.startswith("error:")]
         assert len(errors) == 1 and key in errors[0]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_out_of_range_value_exits_2_with_one_error_line(
+            self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {BAD_VALUES[key]}\n")
+        assert run(["train", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:")
+
+    @pytest.mark.parametrize("command, key, value", [
+        # both sizes exceed the 64-bit address space, so the allocation
+        # fails at once without touching memory
+        ("train", "n_per_class", "1000000000000"),
+        ("lr-find", "finder_batch", "1000000000000000"),
+    ])
+    def test_setting_too_large_to_allocate_exits_2(
+            self, tmp_path, capsys, command, key, value):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run([command, "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["lr-find", "benchmark"])
     def test_overflowing_finder_ramp_exits_2(self, tmp_path, capsys, command):

@@ -1,5 +1,4 @@
 import csv
-import io
 import math
 
 import numpy as np
@@ -311,11 +310,10 @@ class TestSuggestLr:
         assert math.floor(math.log10(suggestion)) == math.floor(math.log10(best))
 
 
-def test_trace_csv_format():
+def test_trace_csv_format(tmp_path):
     trace = make_trace([1e-3, 1e-2], [1.5, 1.25])
-    buf = io.StringIO()
-    write_trace_csv(trace, buf)
-    lines = buf.getvalue().strip().split("\n")
+    write_trace_csv(tmp_path / "trace.csv", trace)
+    lines = (tmp_path / "trace.csv").read_text().strip().split("\n")
     assert lines[0] == "step,lr,raw_loss,smoothed_loss,stop_reason"
     first = lines[1].split(",")
     assert first[0] == "0"
@@ -324,16 +322,16 @@ def test_trace_csv_format():
     assert first[4] == "completed"
 
 
-def test_trace_csv_gives_back_the_suggestion():
+def test_trace_csv_gives_back_the_suggestion(tmp_path):
     # diverged: suggest_lr drops the last step and the TAIL_EXCLUDE steps
     # before it, which skips the steepest drop here; only a file that
     # carries the stop reason gives back the same suggestion
     lrs = [float(lr) for lr in np.logspace(-4, 0, 9)]
     trace = make_trace(lrs, [3.0, 2.75, 2.5, 2.25, 2.0, 0.5, 0.25, 1.5,
                              math.inf], reason="diverged")
-    buf = io.StringIO()
-    write_trace_csv(trace, buf)
-    rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+    write_trace_csv(tmp_path / "trace.csv", trace)
+    with open(tmp_path / "trace.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     parsed = LRFinderTrace(
         [(float(r["lr"]), float(r["raw_loss"]), float(r["smoothed_loss"]))
          for r in rows], rows[-1]["stop_reason"])

@@ -1,12 +1,11 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
-from lrbench.schedule import (CosineCycleConfig, InvalidScheduleError,
-                              cosine_lr, dump_schedule, lr_at,
-                              write_schedule_csv)
+from lrbench.errors import ConfigError
+from lrbench.schedule import (CosineCycleConfig, cosine_lr, dump_schedule,
+                              lr_at, write_schedule_csv)
 
 
 def oracle_locate(t, cfg):
@@ -59,26 +58,26 @@ class TestCosineLr:
 
     def test_zero_cycle_len_rejected(self):
         cfg = CosineCycleConfig(eta_max=0.01, t0=100)
-        with pytest.raises(InvalidScheduleError):
+        with pytest.raises(ValueError):
             cosine_lr(0, 0, cfg)
 
     def test_t_outside_cycle_rejected(self):
         cfg = CosineCycleConfig(eta_max=0.01, t0=100)
-        with pytest.raises(InvalidScheduleError):
+        with pytest.raises(ValueError):
             cosine_lr(101, 100, cfg)
 
 
 class TestConfigValidation:
     def test_eta_ordering_enforced(self):
-        with pytest.raises(InvalidScheduleError):
+        with pytest.raises(ConfigError):
             CosineCycleConfig(eta_max=0.001, eta_min=0.01, t0=10)
-        with pytest.raises(InvalidScheduleError):
+        with pytest.raises(ConfigError):
             CosineCycleConfig(eta_max=0.01, eta_min=-0.1, t0=10)
 
     def test_t0_and_mult_enforced(self):
-        with pytest.raises(InvalidScheduleError):
+        with pytest.raises(ConfigError):
             CosineCycleConfig(eta_max=0.01, t0=0)
-        with pytest.raises(InvalidScheduleError):
+        with pytest.raises(ConfigError):
             CosineCycleConfig(eta_max=0.01, t0=10, mult=0)
 
 
@@ -155,7 +154,7 @@ class TestLrAt:
 
     def test_negative_iteration_rejected(self):
         for mult in (1, 2):
-            with pytest.raises(InvalidScheduleError, match="t_global"):
+            with pytest.raises(ValueError, match="t_global"):
                 lr_at(-1, CosineCycleConfig(eta_max=0.01, t0=100, mult=mult))
 
     def test_random_sweep_against_oracle(self):
@@ -199,22 +198,20 @@ class TestDumpSchedule:
             assert lr == lr_at(t, cfg)
 
 
-def test_csv_round_trip():
+def test_csv_round_trip(tmp_path):
     cfg = CosineCycleConfig(eta_max=0.01, t0=5, mult=2)
     rows = dump_schedule(cfg, 17)
-    buf = io.StringIO()
-    write_schedule_csv(rows, buf)
-    lines = buf.getvalue().strip().split("\n")
+    write_schedule_csv(tmp_path / "schedule.csv", rows)
+    lines = (tmp_path / "schedule.csv").read_text().strip().split("\n")
     assert lines[0] == "t,lr"
     parsed = [(int(a), float(b)) for a, b in
               (line.split(",") for line in lines[1:])]
     assert parsed == rows  # 17 significant digits survive the round trip
 
 
-def test_csv_has_ten_significant_digits():
+def test_csv_has_ten_significant_digits(tmp_path):
     cfg = CosineCycleConfig(eta_max=1 / 3, t0=7)
-    buf = io.StringIO()
-    write_schedule_csv(dump_schedule(cfg, 3), buf)
-    mantissa = buf.getvalue().split("\n")[1].split(",")[1]
+    write_schedule_csv(tmp_path / "schedule.csv", dump_schedule(cfg, 3))
+    mantissa = (tmp_path / "schedule.csv").read_text().split("\n")[1].split(",")[1]
     digits = mantissa.split("e")[0].replace(".", "").lstrip("-0")
     assert len(digits) >= 10
