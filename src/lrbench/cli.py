@@ -27,7 +27,7 @@ from .bench import (build_model, confusion, emit_report, finish_report,
                     run_range_test, speedup, write_confusion_csv,
                     write_history_csv)
 from .config import build_bench_config, parse_config_file
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .finder import NoDescentFound, suggest_lr, write_trace_csv
 from .groups import precompute_features, split_head
 from .schedule import dump_schedule, lr_at, write_schedule_csv
@@ -202,18 +202,24 @@ def cmd_confusion(args) -> None:
     print(f"accuracy: {acc:.6f} over {len(pairs)} samples")
 
 
+# each command's handler, and the settings that size its arrays, named when
+# an allocation fails
 _HANDLERS = {
-    "lr-find": cmd_lr_find,
-    "train": cmd_train,
-    "benchmark": cmd_benchmark,
-    "schedule-dump": cmd_schedule_dump,
-    "confusion": cmd_confusion,
+    "lr-find": (cmd_lr_find, "n_per_class or finder_batch"),
+    "train": (cmd_train, "n_per_class"),
+    "benchmark": (cmd_benchmark, "n_per_class or finder_batch"),
+    "schedule-dump": (cmd_schedule_dump, "--iters"),
+    "confusion": (cmd_confusion, "--pred"),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _HANDLERS[args.command](args)
+    handler, sized_by = _HANDLERS[args.command]
+    try:
+        handler(args)
+    except MemoryError as err:
+        raise ConfigError(f"{sized_by} too large to allocate: {err}") from err
     return 0
 
 
@@ -235,7 +241,7 @@ def run(argv=None) -> int:
     except (DataError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ValueError, MemoryError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,8 @@ gradient checks have headroom, while the CLI and the benchmark build float32
 models.
 
 A Model instance is single-owner while training: forward/backward/sgd_step
-mutate its gradient and parameter buffers in place.
+mutate its gradient and parameter buffers in place, and sgd_step leaves the
+gradient buffers holding its scratch, not the gradients.
 """
 
 from __future__ import annotations
@@ -102,8 +103,10 @@ class Dense(Layer):
         return grad_out @ self.W.T if need_input_grad else None
 
 
-# Rows per forward call in predict: inference then holds no more than a
-# training step at batch 16 does.
+# Rows per forward call in predict for a model that holds a Conv2d, whose
+# grid grows with the rows: inference then holds no more than a training
+# step at batch 16 does, and the CNN keeps its bits (its Dense(1024, 32)
+# rounds 40 rows differently from 16). A conv-free model takes one call.
 _BLOCK_ROWS = 16
 
 # Multiply-adds per conv forward GEMM. Up to about 10^6 OpenBLAS (one
@@ -336,8 +339,11 @@ def forward(model: Model, batch: np.ndarray):
 
 
 def predict(model: Model, x: np.ndarray) -> np.ndarray:
-    """The model's outputs for every row of ``x``, computed by forward over
-    _BLOCK_ROWS rows at a time."""
+    """The model's outputs for every row of ``x``: one forward call for a
+    conv-free model, _BLOCK_ROWS rows at a time for one that holds a
+    Conv2d."""
+    if not any(isinstance(layer, Conv2d) for layer in model.layers):
+        return forward(model, x)[0]
     return np.concatenate([forward(model, x[start:start + _BLOCK_ROWS])[0]
                            for start in range(0, len(x), _BLOCK_ROWS)])
 
@@ -414,6 +420,9 @@ def sgd_step(model: Model, lr, momentum: float = 0.0,
     ``lr`` is a scalar for every layer or an (initial, mid, final) tuple
     applied over model.param_groups(); anything else raises ValueError.
     Weight decay is coupled (added to the gradient).
+
+    The gradient buffers are its scratch (decay added, then lr*v), so no
+    parameter-sized temporary is allocated and no gradient survives a step.
     """
     if isinstance(lr, (int, float, np.floating)):
         steps = [(float(lr), model.param_layers())]
@@ -428,10 +437,12 @@ def sgd_step(model: Model, lr, momentum: float = 0.0,
     for step_lr, layers in steps:
         for layer in layers:
             for p, g, v in zip(layer.params, layer.grads, layer.vel):
-                eff = g + weight_decay * p if weight_decay else g
+                if weight_decay:
+                    g += weight_decay * p
                 v *= momentum
-                v += eff
-                p -= step_lr * v
+                v += g
+                np.multiply(v, step_lr, out=g)
+                p -= g
 
 
 def train_step(model: Model, xb: np.ndarray, yb: np.ndarray, lr,

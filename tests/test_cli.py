@@ -470,6 +470,7 @@ class TestExitCodes:
         # fails at once without touching memory
         ("train", "n_per_class", "1000000000000"),
         ("lr-find", "finder_batch", "1000000000000000"),
+        ("benchmark", "n_per_class", "1000000000000"),
     ])
     def test_setting_too_large_to_allocate_exits_2(
             self, tmp_path, capsys, command, key, value):
@@ -478,8 +479,13 @@ class TestExitCodes:
         assert run([command, "--config", str(cfg),
                     "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error:")
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        # the settings that size the command's arrays, then numpy's message
+        named = ("n_per_class" if command == "train"
+                 else "n_per_class or finder_batch")
+        assert err.startswith(f"error: {named} too large to allocate: "
+                              "Unable to allocate ")
+        assert f"({value}" in err
 
     @pytest.mark.parametrize("command", ["lr-find", "benchmark"])
     def test_overflowing_finder_ramp_exits_2(self, tmp_path, capsys, command):

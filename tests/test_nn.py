@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import max_grad_rel_error
-from lrbench.groups import LayerGroupRates
+from lrbench.groups import LayerGroupRates, split_head
 import lrbench.nn
 from lrbench.nn import (_BLOCK_ROWS, Conv2d, Dense, Flatten, MaxPool2,
                         Model, NonFiniteLossError, ReLU, ShapeError, backward,
@@ -267,9 +267,30 @@ class TestPredict:
         assert out.shape == (300, 3) and out.dtype == np.float32
         np.testing.assert_array_equal(out, expected)
 
+    def test_conv_free_model_forwards_all_rows_in_one_call(self,
+                                                           monkeypatch):
+        # the cifar MLP reads its 3072 x 64 weight once per validation pass,
+        # with the bits of the 16-row blocks a conv model runs in
+        model = build_mlp((3, 32, 32), 10, seed=2)
+        assert model.layers[1].W.shape == (3072, 64)
+        x = f64_rng(5).random((40, 3, 32, 32)).astype(np.float32)
+        blocks = np.concatenate([forward(model, x[start:start + 16])[0]
+                                 for start in range(0, 40, 16)])
+        rows = self.slice_rows(monkeypatch)
+        out = predict(model, x)
+        assert rows == [40]
+        np.testing.assert_array_equal(out, blocks)
+
+    def test_only_the_view_that_holds_the_conv_is_blocked(self, monkeypatch):
+        body, head = split_head(build_cnn((3, 8, 8), 3, seed=1))
+        rows = self.slice_rows(monkeypatch)
+        features = predict(body, f64_rng(6).random((40, 3, 8, 8)))
+        predict(head, features)
+        assert rows == [16, 16, 8, 40]
+
     def test_forty_rows_go_in_blocks_of_16(self, monkeypatch):
-        # a validation pass of the cifar workloads: two full blocks and a
-        # short one, each forwarded on its own
+        # a validation pass of the cifar CNN: two full blocks and a short
+        # one, each forwarded on its own
         model = build_cnn((3, 8, 8), 3, seed=1)
         x = f64_rng(4).random((40, 3, 8, 8)).astype(np.float32)
         expected = np.concatenate([forward(model, x[:16])[0],
@@ -614,6 +635,33 @@ class TestSgdStep:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(step(0.0123), step(np.float64(0.0123))):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("lr", [0.0123, (0.0123, 0.0456, 0.0789)])
+    @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+    def test_f32_step_matches_the_update_formula_bit_for_bit(
+            self, lr, weight_decay):
+        # p - lr*(m*v + g + wd*p), each product and sum rounded to float32 in
+        # that order, whatever scratch the step writes into the gradients
+        model = build_mlp((3, 8, 8), 3, seed=4)
+        rng = f64_rng(9)
+        expected = []
+        rates = lr if isinstance(lr, tuple) else (lr,) * 3
+        for rate, group in zip(rates, model.param_groups()):
+            for layer in group:
+                for p, g, v in zip(layer.params, layer.grads, layer.vel):
+                    g[...] = rng.standard_normal(g.shape)
+                    v[...] = rng.standard_normal(v.shape)
+                    eff = g + weight_decay * p if weight_decay else g
+                    new_v = 0.9 * v + eff
+                    expected.append((p - rate * new_v, new_v))
+        sgd_step(model, lr, momentum=0.9, weight_decay=weight_decay)
+        stepped = [(p, v) for layer in model.param_layers()
+                   for p, v in zip(layer.params, layer.vel)]
+        assert len(stepped) == len(expected) == 6
+        for (p, v), (want_p, want_v) in zip(stepped, expected):
+            assert p.dtype == v.dtype == want_p.dtype == np.float32
+            np.testing.assert_array_equal(v, want_v)
+            np.testing.assert_array_equal(p, want_p)
 
 
 class TestDeterminismAndState:
