@@ -205,9 +205,9 @@ def cmd_confusion(args) -> None:
 # each command's handler, and the settings that size its arrays, named when
 # an allocation fails
 _HANDLERS = {
-    "lr-find": (cmd_lr_find, "n_per_class or finder_batch"),
+    "lr-find": (cmd_lr_find, "n_per_class, finder_batch or batch_size"),
     "train": (cmd_train, "n_per_class"),
-    "benchmark": (cmd_benchmark, "n_per_class or finder_batch"),
+    "benchmark": (cmd_benchmark, "n_per_class, finder_batch or batch_size"),
     "schedule-dump": (cmd_schedule_dump, "--iters"),
     "confusion": (cmd_confusion, "--pred"),
 }

@@ -52,7 +52,7 @@ def split_head(model: Model) -> tuple[Model, Model]:
     was. Raises ShapeError for fewer than 3 parameterized layers."""
     cut = model.layers.index(model.param_groups()[2][0])
     return (Model(model.layers[:cut], dtype=model.dtype),
-            Model(model.layers[cut:], dtype=model.dtype, loss=model.loss))
+            Model(model.layers[cut:], dtype=model.dtype))
 
 
 def precompute_features(body: Model, images) -> np.ndarray:

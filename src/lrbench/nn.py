@@ -1,9 +1,10 @@
 """Minimal deterministic neural-network substrate.
 
 Dense and small convolutional layers with hand-derived gradients, softmax
-cross-entropy (plus an MSE mode for quadratic fixtures), and SGD with momentum
-and coupled L2 weight decay. The convolution runs on a flat padded grid of its
-input, where every kernel offset reads one contiguous shifted slice (Conv2d).
+cross-entropy for integer labels (squared error for float targets), and SGD
+with momentum and coupled L2 weight decay. The convolution runs on a flat
+padded grid of its input, where every kernel offset reads one contiguous
+shifted slice (Conv2d).
 build_cnn pools before its ReLUs, so pooling ties are among raw conv
 outputs. MaxPool2 finds its winners in backward and ReLU takes its mask from
 its output, so a forward-only pass builds no mask. Everything runs on numpy
@@ -285,23 +286,16 @@ class Flatten(Layer):
 
 
 class Model:
-    """Ordered layer stack with a loss attached.
-
-    ``loss`` is "softmax_ce" for classification (integer labels) or "mse" for
-    regression-style fixtures (float targets of the logits' shape).
+    """Ordered layer stack; the targets given to backward pick the loss.
 
     The parameterized layers fall into three contiguous groups, lowest
     first (see param_groups): the classifier head alone is ``final`` and the
     layers below it split in half between ``initial`` and ``mid``.
     """
 
-    def __init__(self, layers: Sequence[Layer], dtype=np.float32,
-                 loss: str = "softmax_ce"):
-        if loss not in ("softmax_ce", "mse"):
-            raise ValueError(f"unknown loss {loss!r}")
+    def __init__(self, layers: Sequence[Layer], dtype=np.float32):
         self.layers = list(layers)
         self.dtype = np.dtype(dtype)
-        self.loss = loss
         for i, layer in enumerate(self.layers):
             if not layer.name:
                 layer.name = f"{type(layer).__name__.lower()}{i}"
@@ -370,17 +364,18 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def _loss_and_grad(model: Model, logits: np.ndarray, labels: np.ndarray):
     n = logits.shape[0]
-    if model.loss == "softmax_ce":
+    labels = np.asarray(labels)
+    if labels.dtype.kind in "iu":
         labels, logp, loss = _cross_entropy(logits, labels)
         grad = np.exp(logp)
         grad[np.arange(n), labels] -= 1.0
         grad /= n
     else:
-        targets = np.asarray(labels, dtype=logits.dtype)
+        targets = labels.astype(logits.dtype, copy=False)
         if targets.shape != logits.shape:
             raise ShapeError(
-                f"mse targets {targets.shape} must match logits {logits.shape}"
-            )
+                f"targets {targets.shape} for logits {logits.shape}: need integer"
+                f" class labels of shape ({n},) or float targets of the logits' shape")
         diff = logits - targets
         loss = float(0.5 * np.sum(diff * diff) / n)
         grad = diff / n
@@ -390,9 +385,11 @@ def _loss_and_grad(model: Model, logits: np.ndarray, labels: np.ndarray):
 def backward(model: Model, logits: np.ndarray, labels: np.ndarray,
              caches) -> float:
     """Write each parameterized layer's gradients once, with the exact
-    gradient of the mean loss; returns that loss. Weight decay enters in
-    sgd_step. Every parameter trains: to keep layers fixed, pass a model
-    that leaves them out, as the head phase does with the head view from
+    gradient of the mean loss; returns that loss. Integer ``labels`` (class
+    ids) give softmax cross-entropy, and float targets of the logits' shape
+    0.5 * sum((logits - targets)**2) / rows. Weight decay enters in sgd_step.
+    Every parameter trains: to keep layers fixed, pass a model that leaves
+    them out, as the head phase does with the head view from
     groups.split_head.
 
     Nothing below the lowest parameterized layer's weights is computed: that

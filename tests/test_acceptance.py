@@ -172,7 +172,7 @@ def random_gradient_case(i):
         d0, d1 = int(rng.integers(3, 6)), int(rng.integers(2, 4))
         layers = [Dense(d0, 4, dtype=np.float64, rng=rng), ReLU(),
                   Dense(4, d1, dtype=np.float64, rng=rng)]
-        model = Model(layers, dtype=np.float64, loss="mse")
+        model = Model(layers, dtype=np.float64)
         x = rng.standard_normal((3, d0))
         y = rng.standard_normal((3, d1))
         wd = float(rng.uniform(0.0, 0.1))

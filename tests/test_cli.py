@@ -471,6 +471,9 @@ class TestExitCodes:
         ("train", "n_per_class", "1000000000000"),
         ("lr-find", "finder_batch", "1000000000000000"),
         ("benchmark", "n_per_class", "1000000000000"),
+        # with finder_batch unset the range test's probe batch is batch_size
+        ("lr-find", "batch_size", "1000000000000000"),
+        ("benchmark", "batch_size", "1000000000000000"),
     ])
     def test_setting_too_large_to_allocate_exits_2(
             self, tmp_path, capsys, command, key, value):
@@ -482,7 +485,7 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         # the settings that size the command's arrays, then numpy's message
         named = ("n_per_class" if command == "train"
-                 else "n_per_class or finder_batch")
+                 else "n_per_class, finder_batch or batch_size")
         assert err.startswith(f"error: {named} too large to allocate: "
                               "Unable to allocate ")
         assert f"({value}" in err

@@ -120,7 +120,7 @@ class TestRangeTest:
         # a model without parameters has nothing to train, so every probe
         # sees the same loss
         x, _ = quadratic_problem()
-        model = Model([ReLU()], dtype=np.float64, loss="mse")
+        model = Model([ReLU()], dtype=np.float64)
         cfg = RangeTestConfig(lr_lo=1e-4, lr_hi=1.0, n_steps=20)
         trace = range_test(model, (x, np.zeros_like(x)), cfg, rng_seed=0,
                            batch_size=2)

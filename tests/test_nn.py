@@ -333,6 +333,29 @@ class TestLoss:
                 backward(model, logits, np.array([0]), caches)
         assert not math.isfinite(err.value.value)
 
+    def test_targets_pick_the_loss(self):
+        # one model and one set of logits: integer labels give softmax
+        # cross-entropy, float targets of the logits' shape give squared error
+        rng = f64_rng(3)
+        layer = Dense(5, 4, dtype=np.float64, rng=rng)
+        model = Model([layer], dtype=np.float64)
+        x = rng.standard_normal((6, 5))
+        logits, caches = forward(model, x)
+        for dtype in (np.int64, np.int32, np.uint8):
+            labels = np.array([0, 3, 1, 2, 3, 0], dtype=dtype)
+            assert backward(model, logits, labels, caches) == \
+                softmax_cross_entropy(logits, labels)
+        targets = rng.standard_normal((6, 4))
+        d = logits - targets
+        loss = backward(model, logits, targets, caches)
+        assert loss == pytest.approx(0.5 * np.sum(d * d) / 6, rel=1e-14)
+        np.testing.assert_allclose(layer.grads[0], x.T @ d / 6, rtol=1e-12)
+        np.testing.assert_allclose(layer.grads[1], d.sum(axis=0) / 6,
+                                   rtol=1e-12)
+        with pytest.raises(ShapeError, match=r"integer class labels of shape "
+                           r"\(6,\) or float targets of the logits' shape"):
+            backward(model, logits, np.array([0., 3., 1., 2., 3., 0.]), caches)
+
 
 class TestBackward:
     def test_gradients_match_finite_differences(self):
