@@ -11,7 +11,7 @@ from .bench import (BenchConfig, RunReport, confusion, emit_report,
                     run_conventional, run_optimized, speedup)
 from .data import (Dataset, augment_batch, load_cifar10, make_blobs,
                    normalize, split)
-from .errors import ConfigError, DataError, LRBenchError
+from .errors import ConfigError, DataError
 from .finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
                      range_test, suggest_lr)
 from .groups import LayerGroupRates, group_lr_at, precompute_features
@@ -26,7 +26,7 @@ __all__ = [
     "run_conventional", "run_optimized", "speedup",
     "Dataset", "augment_batch", "load_cifar10", "make_blobs", "normalize",
     "split",
-    "ConfigError", "DataError", "LRBenchError",
+    "ConfigError", "DataError",
     "LRFinderTrace", "NoDescentFound", "RangeTestConfig", "range_test",
     "suggest_lr",
     "LayerGroupRates", "group_lr_at", "precompute_features",

@@ -68,7 +68,6 @@ class BenchConfig:
     head_epochs: int = 10
     finder_batch: int | None = None
     patience: int = 5
-    min_delta: float = 1e-4
     blobs_noise: float = 0.08
     n_per_class: int = 200
     split_num: int = 5
@@ -84,8 +83,8 @@ class BenchConfig:
             raise ConfigError(f"model must be 'mlp' or 'cnn', got {self.model!r}")
         if self.head_epochs < 1:
             raise ConfigError(f"head_epochs must be >= 1, got {self.head_epochs}")
-        if self.patience < 0 or self.min_delta < 0:
-            raise ConfigError("patience and min_delta must be >= 0")
+        if self.patience < 0:
+            raise ConfigError(f"patience must be >= 0, got {self.patience}")
         if self.finder_batch is not None and self.finder_batch < 1:
             raise ConfigError(f"finder_batch must be >= 1, got {self.finder_batch}")
         if self.n_per_class < 1:
@@ -213,13 +212,12 @@ def run_conventional(cfg: BenchConfig,
     train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
         phase_name="fixed_lr1", phases=phases, lr_fn=lambda t: cfg.lr1,
-        cfg=train_cfg, history=history, patience=cfg.patience,
-        min_delta=cfg.min_delta)
+        cfg=train_cfg, history=history, patience=cfg.patience)
     train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
         phase_name="fixed_lr2", phases=phases, lr_fn=lambda t: cfg.lr2,
         cfg=train_cfg, history=history, patience=cfg.patience,
-        min_delta=cfg.min_delta, target_accuracy=cfg.target_accuracy)
+        target_accuracy=cfg.target_accuracy)
     return finish_report(model, valid_ds, phases, history, cfg.target_accuracy)
 
 
@@ -263,13 +261,13 @@ def run_optimized(cfg: BenchConfig,
         phase_name="head_sgdr", phases=phases,
         lr_fn=lambda t: lr_at(t, sched2),
         cfg=replace(cfg.train, augment=False, max_epochs=cfg.head_epochs),
-        history=history, patience=cfg.patience, min_delta=cfg.min_delta,
+        history=history, patience=cfg.patience,
         target_accuracy=cfg.target_accuracy)
     train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
         phase_name="dlr_clm", phases=phases,
         lr_fn=lambda t: group_lr_at(t, cfg.rates, cfg.sched), cfg=cfg.train,
-        history=history, patience=cfg.patience, min_delta=cfg.min_delta,
+        history=history, patience=cfg.patience,
         target_accuracy=cfg.target_accuracy)
     return finish_report(model, valid_ds, phases, history, cfg.target_accuracy,
                          eta_max, trace)

@@ -119,7 +119,7 @@ def cmd_train(args) -> None:
             model, train_ds.images, train_ds.labels, valid_ds.images,
             valid_ds.labels, phase_name="sgdr", phases=phases,
             lr_fn=lambda t: lr_at(t, cfg.sched), cfg=cfg.train,
-            history=history, patience=cfg.patience, min_delta=cfg.min_delta,
+            history=history, patience=cfg.patience,
             target_accuracy=cfg.target_accuracy)
     report = finish_report(model, valid_ds, phases, history,
                            cfg.target_accuracy)
@@ -147,15 +147,26 @@ def cmd_benchmark(args) -> None:
         opt = run_optimized(cfg, data, history)
     for path in emit_report(opt, out, "optimized_"):
         print(f"wrote {path}")
+
+    def to_target(report):
+        seconds = report.target_seconds
+        return "none" if seconds is None else f"{seconds:.2f}s"
+
     print(f"conventional: acc={conv.accuracy:.4f} "
-          f"time={conv.total_seconds:.2f}s reached={conv.reached}")
+          f"time={conv.total_seconds:.2f}s to_target={to_target(conv)} "
+          f"reached={conv.reached}")
     print(f"optimized:    acc={opt.accuracy:.4f} "
-          f"time={opt.total_seconds:.2f}s reached={opt.reached} "
-          f"eta_max={opt.eta_max!r}")
+          f"time={opt.total_seconds:.2f}s to_target={to_target(opt)} "
+          f"reached={opt.reached} eta_max={opt.eta_max!r}")
+    ratio = ("not reached" if None in (conv.target_seconds, opt.target_seconds)
+             else f"{speedup(conv.target_seconds, opt.target_seconds):.2f}")
+    print(f"time_to_target_ratio: {ratio}")
     print(f"speedup: {speedup(conv, opt):.2f}")
 
 
 def cmd_schedule_dump(args) -> None:
+    if args.iters < 1:
+        raise ConfigError(f"--iters must be >= 1, got {args.iters}")
     cfg = _bench_config(args)
     rows = dump_schedule(cfg.sched, args.iters)
     path = _out_dir(args) / "schedule.csv"

@@ -20,8 +20,6 @@ __all__ = ["CONFIG_KEYS", "parse_config_file", "build_bench_config"]
 
 
 def _bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
     text = str(value).strip().lower()
     if text in ("1", "true", "yes", "on"):
         return True
@@ -75,7 +73,6 @@ _SCHEMA = {
     "lr2": (_finite, "bench", "lr2"),
     "head_epochs": (int, "bench", "head_epochs"),
     "patience": (int, "bench", "patience"),
-    "min_delta": (_finite, "bench", "min_delta"),
     "blobs_noise": (_finite, "bench", "blobs_noise"),
     "n_per_class": (int, "bench", "n_per_class"),
     "split_num": (int, "bench", "split_num"),

@@ -95,8 +95,7 @@ class PhaseResult:
 
 def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
                 phase_name: str, phases: list[PhaseResult], lr_fn,
-                cfg: TrainConfig, history: list[EpochRecord],
-                patience: int, min_delta: float = 0.0,
+                cfg: TrainConfig, history: list[EpochRecord], patience: int,
                 target_accuracy: float | None = None) -> PhaseResult:
     """Run phase k = len(phases) + 1 of a run from rest (velocities zeroed),
     shuffling and augmenting from SeedSequence([cfg.seed, k, epoch]); its
@@ -113,11 +112,10 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
     cfg.max_epochs epochs, as soon as validation accuracy meets
     target_accuracy (so it met the target exactly when its final accuracy
     does), or by early stopping: an epoch whose accuracy beats the phase's
-    best so far by more than min_delta becomes the new best, and the phase
-    stops once more than `patience` epochs in a row have not, so patience
-    cfg.max_epochs never stops it. The best starts at -inf on every call, so
-    the first epoch always improves and an earlier phase's accuracy never
-    carries over.
+    best so far becomes the new best, and the phase stops once more than
+    `patience` epochs in a row have not, so patience cfg.max_epochs never
+    stops it. The best starts at -inf on every call, so the first epoch
+    always improves and an earlier phase's accuracy never carries over.
     """
     if (target_accuracy is not None and history
             and history[-1].valid_acc >= target_accuracy):
@@ -154,7 +152,7 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
             valid_acc=valid_acc, seconds=time.perf_counter() - start_time))
         if target_accuracy is not None and valid_acc >= target_accuracy:
             break
-        if valid_acc > best_acc + min_delta:
+        if valid_acc > best_acc:
             best_acc, stale_epochs = valid_acc, 0
         else:
             stale_epochs += 1

@@ -260,11 +260,12 @@ class TestPipelines:
     def test_phase_k_draws_seed_stream_k(self, epoch_seeds, pipeline,
                                          streams):
         # the range test is the optimized run's phase 1; noisy blobs, an
-        # unreachable target and patience 0 with min_delta 1 make every
-        # phase run two epochs
+        # unreachable target and a 2-epoch budget with patience 2 make
+        # every phase run two epochs
         cfg = tiny_config(seed=7, blobs_noise=1.0, lr1=1e-3, lr2=1e-4,
-                          head_epochs=2, patience=0, min_delta=1.0,
-                          target_accuracy=0.99)
+                          train=TrainConfig(max_epochs=2, batch_size=16,
+                                            seed=7),
+                          head_epochs=2, patience=2, target_accuracy=0.99)
         report = pipeline(cfg)
         assert [r.phase for r in report.history] == [
             name for name in streams for _ in range(2)]

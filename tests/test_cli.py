@@ -5,7 +5,8 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
-from lrbench.bench import BenchConfig, build_model, load_bench_dataset
+from lrbench.bench import (BenchConfig, RunReport, build_model,
+                           load_bench_dataset)
 import lrbench.cli
 from lrbench.cli import main, run
 from lrbench.config import (_SCHEMA, CONFIG_KEYS, build_bench_config,
@@ -16,6 +17,7 @@ from lrbench.finder import (LRFinderTrace, RangeTestConfig, range_test,
 from lrbench.groups import LayerGroupRates, precompute_features, split_head
 from lrbench.nn import NonFiniteLossError
 from lrbench.schedule import CosineCycleConfig
+from lrbench.train import PhaseResult
 
 TINY_CONFIG = """\
 # desk-scale smoke config
@@ -42,7 +44,7 @@ BAD_VALUES = {
     "finder_lo": "0", "finder_hi": "0", "finder_steps": "9",
     "finder_beta": "1", "finder_divergence": "1", "finder_batch": "0",
     "target_accuracy": "1", "lr1": "0", "lr2": "0", "head_epochs": "0",
-    "patience": "-1", "min_delta": "-1", "blobs_noise": "-1",
+    "patience": "-1", "blobs_noise": "-1",
     "n_per_class": "0", "split_num": "0", "split_den": "0",
 }
 
@@ -187,6 +189,15 @@ class TestScheduleDump:
         assert float(lines[101].split(",")[1]) == 0.01
         assert "schedule.csv" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_fewer_than_one_iteration_exits_2_naming_the_flag(
+            self, tmp_path, capsys, iters):
+        assert run(["schedule-dump", "--out", str(tmp_path),
+                    "--iters", iters]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert errors == [f"error: --iters must be >= 1, got {iters}"]
+        assert not (tmp_path / "schedule.csv").exists()
+
 
 class TestConfusionCommand:
     def test_happy_path(self, tmp_path, capsys):
@@ -197,6 +208,14 @@ class TestConfusionCommand:
         lines = (tmp_path / "confusion.csv").read_text().splitlines()
         assert lines == ["class,c0,c1", "c0,1,1", "c1,0,2"]
         assert "accuracy: 0.750000" in capsys.readouterr().out
+
+    def test_blank_lines_skipped(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("true,pred\n0,0\n\n  \n1,0\n\n")
+        assert run(["confusion", "--pred", str(pred), "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "confusion.csv").read_text().splitlines()
+        assert lines == ["class,c0,c1", "c0,1,0", "c1,1,0"]
+        assert "accuracy: 0.500000 over 2 samples" in capsys.readouterr().out
 
     def test_bad_header_exits_3(self, tmp_path, capsys):
         pred = tmp_path / "pred.csv"
@@ -310,13 +329,13 @@ class TestTrainCommand:
     ])
     def test_says_why_a_missed_target_ended(self, tmp_path, capsys,
                                             patience, outcome):
-        # a rate too small to reach the target; no epoch after the first can
-        # beat the phase's best by min_delta, so patience 0 stops at the
-        # second epoch and patience 10 spends the 3-epoch budget
+        # a rate too small to change any prediction: no epoch after the
+        # first beats the phase's best, so patience 0 stops at the second
+        # epoch and patience 10 spends the 3-epoch budget
         cfg = tmp_path / "slow.cfg"
         cfg.write_text("n_per_class = 20\nmax_epochs = 3\n"
-                       f"patience = {patience}\neta_max = 0.0001\n"
-                       "min_delta = 1.0\ntarget_accuracy = 0.99\n")
+                       f"patience = {patience}\neta_max = 1e-12\n"
+                       "target_accuracy = 0.99\n")
         assert run(["train", "--config", str(cfg),
                     "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().out.splitlines()[-1].endswith(outcome)
@@ -340,9 +359,38 @@ class TestBenchmarkCommand:
             for name in ("history.csv", "confusion.csv", "summary.txt"):
                 assert (out / f"{prefix}{name}").exists()
         stdout = capsys.readouterr().out
-        assert "speedup:" in stdout
         assert "conventional:" in stdout
         assert "optimized:" in stdout
+        lines = stdout.splitlines()
+        assert lines[-1].startswith("speedup: ")
+        assert lines[-2].startswith("time_to_target_ratio: ")
+
+    @pytest.mark.parametrize("conv_s, opt_s, fields, ratio", [
+        (6.0, 3.0, ("6.00s", "3.00s"), "2.00"),
+        (None, 3.0, ("none", "3.00s"), "not reached"),
+        (6.0, None, ("6.00s", "none"), "not reached"),
+    ], ids=["both", "conventional-missed", "optimized-missed"])
+    def test_prints_the_time_to_target_ratio(
+            self, tmp_path, tiny_config_file, capsys, monkeypatch, conv_s,
+            opt_s, fields, ratio):
+        def stub(total_seconds, target_seconds):
+            phases = [PhaseResult("p", 1, 0.5, total_seconds)]
+            return lambda cfg, data, history: RunReport(
+                phases=phases, total_seconds=total_seconds,
+                confusion=np.eye(2, dtype=np.int64),
+                reached=target_seconds is not None, history=[],
+                class_names=["a", "b"], target_seconds=target_seconds,
+                target_epoch=None if target_seconds is None else 0)
+
+        monkeypatch.setattr(lrbench.cli, "run_conventional", stub(8.0, conv_s))
+        monkeypatch.setattr(lrbench.cli, "run_optimized", stub(2.0, opt_s))
+        assert run(["benchmark", "--config", str(tiny_config_file),
+                    "--out", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"time=8.00s to_target={fields[0]} " in lines[-4]
+        assert f"time=2.00s to_target={fields[1]} " in lines[-3]
+        assert lines[-2:] == [f"time_to_target_ratio: {ratio}",
+                              "speedup: 4.00"]
 
     def test_optimized_divergence_keeps_the_conventional_report(
             self, tmp_path, tiny_config_file, capsys, monkeypatch):
@@ -437,7 +485,6 @@ class TestExitCodes:
         ("benchmark", "weight_decay", "nan"),
         ("benchmark", "blobs_noise", "nan"),
         ("benchmark", "finder_hi", "inf"),
-        ("benchmark", "min_delta", "nan"),
         ("lr-find", "finder_divergence", "nan"),
         ("lr-find", "finder_divergence", "-inf"),
         ("benchmark", "blobs_noise", "-1"),

@@ -262,6 +262,13 @@ class TestSuggestLr:
         smoothed = [3.0, 2.0, 2.0, 1.0, 1.0]
         assert suggest_lr(make_trace(lrs, smoothed)) == 1e-3
 
+    def test_segments_touching_a_non_finite_loss_skipped(self):
+        # counted, the drop from inf at 1e-2 would be the steepest and
+        # give 1e-1
+        lrs = [1e-3, 1e-2, 1e-1, 1.0, 10.0]
+        smoothed = [2.0, math.inf, 1.0, 0.5, 0.4]
+        assert suggest_lr(make_trace(lrs, smoothed)) == 1.0
+
     def test_tail_excluded_on_divergence(self):
         lrs = np.logspace(-4, 0, 10)
         # the biggest drop sits inside the excluded tail; the milder early

@@ -105,6 +105,16 @@ class TestForward:
         with pytest.raises(ShapeError, match="width"):
             forward(model, np.ones((2, 7)))
 
+    @pytest.mark.parametrize("layer, shape, rank", [
+        (Dense(4, 3), (2, 1, 4), "2-D"),
+        (Conv2d(1, 2), (2, 4, 4), "4-D"),
+        (MaxPool2(), (2, 4, 4), "4-D"),
+    ], ids=["dense", "conv", "pool"])
+    def test_input_of_the_wrong_rank_is_named(self, layer, shape, rank):
+        with pytest.raises(ShapeError, match=f"expected {rank} input, got "
+                           rf"shape \({shape[0]}, "):
+            layer.forward(np.ones(shape, dtype=np.float32))
+
     def check_conv_matches_naive_loops(self, monkeypatch=None):
         rng = f64_rng(5)
         # a batch that is not a multiple of the 16-row training batch
@@ -318,6 +328,16 @@ class TestLoss:
         logits, _ = forward(model, x)
         loss = softmax_cross_entropy(logits, y)
         assert abs(loss - math.log(3)) / math.log(3) < 0.05
+
+    @pytest.mark.parametrize("logits, labels", [
+        (np.zeros((2, 3)), np.array([0, 1, 2])),
+        (np.zeros(3), np.array([0, 1, 2])),
+        (np.zeros((2, 3)), np.array([[0], [1]])),
+    ], ids=["rows", "logits-rank", "labels-rank"])
+    def test_logits_and_labels_that_do_not_match_rejected(self, logits,
+                                                          labels):
+        with pytest.raises(ShapeError, match="do not match"):
+            softmax_cross_entropy(logits, labels)
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ShapeError):

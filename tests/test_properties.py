@@ -130,7 +130,6 @@ def config_values(draw):
         "lr2": lr2,
         "head_epochs": draw(st.integers(1, 100)),
         "patience": draw(st.integers(0, 100)),
-        "min_delta": draw(st.floats(0.0, 1.0)),
         "blobs_noise": draw(st.floats(0.0, 1.0)),
         "n_per_class": draw(st.integers(1, 5000)),
         "split_num": draw(st.integers(1, 10)),
@@ -165,7 +164,7 @@ class TestConfigProperties:
                                    v["finder_divergence"]),
             target_accuracy=v["target_accuracy"], lr1=v["lr1"], lr2=v["lr2"],
             head_epochs=v["head_epochs"], finder_batch=v["finder_batch"],
-            patience=v["patience"], min_delta=v["min_delta"],
-            blobs_noise=v["blobs_noise"], n_per_class=v["n_per_class"],
+            patience=v["patience"], blobs_noise=v["blobs_noise"],
+            n_per_class=v["n_per_class"],
             split_num=v["split_num"], split_den=v["split_den"])
         assert build_bench_config(raw) == expected

@@ -179,6 +179,12 @@ class TestDumpSchedule:
         assert rows[2] == (2, 1.0)
         assert rows[3][1] == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("n_iters", [0, -3])
+    def test_fewer_than_one_iteration_rejected(self, n_iters):
+        with pytest.raises(ValueError, match=f"n_iters must be >= 1, got "
+                           f"{n_iters}"):
+            dump_schedule(CosineCycleConfig(eta_max=0.1, t0=10), n_iters)
+
     def test_first_element(self):
         cfg = CosineCycleConfig(eta_max=0.25, t0=9, mult=2)
         assert dump_schedule(cfg, 1)[0] == (0, 0.25)

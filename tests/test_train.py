@@ -56,29 +56,21 @@ def scripted_phase(monkeypatch, accuracies, history=None, **stopping):
 
 class TestEarlyStop:
     def test_first_metric_always_improves(self, monkeypatch):
-        # even a min_delta larger than any accuracy gain: the first epoch
-        # beats -inf, so patience 0 stops on the second, not the first
+        # even an accuracy of 0: the first epoch beats -inf, so patience 0
+        # stops on the second, not the first
         assert scripted_phase(monkeypatch, (0.0, 0.0, 0.0),
-                              patience=0, min_delta=1.0) == 2
+                              patience=0) == 2
 
     def test_plateau_sequence(self, monkeypatch):
         # two improvements, then the third plateau epoch exceeds patience 2
         assert scripted_phase(monkeypatch, (0.5, 0.6, 0.6, 0.6, 0.6, 0.6),
-                              patience=2, min_delta=1e-4) == 5
+                              patience=2) == 5
 
     def test_improvement_resets_counter(self, monkeypatch):
         # 0.7 resets the count that 0.5's repeat raised to 1; without the
         # reset the phase would stop there, at epoch 3
         assert scripted_phase(monkeypatch, (0.5, 0.5, 0.7, 0.7, 0.7, 0.7),
                               patience=1) == 5
-
-    def test_min_delta_gates_improvement(self, monkeypatch):
-        # 0.55 is within min_delta of 0.5, so it counts as a plateau and
-        # leaves the best at 0.5; 0.61 then beats it and becomes the best
-        assert scripted_phase(monkeypatch, (0.5, 0.55, 0.61, 0.66, 0.7, 0.7),
-                              patience=1, min_delta=0.1) == 5
-        assert scripted_phase(monkeypatch, (0.5, 0.55, 0.9),
-                              patience=0, min_delta=0.1) == 2
 
     def test_second_phase_starts_with_a_fresh_best(self, monkeypatch):
         # a later phase appending to the same history is not measured
