@@ -561,9 +561,11 @@ class TestExitCodes:
 
     def test_blobs_per_class_is_an_unknown_key(self, tmp_path, capsys):
         # n_per_class sizes blobs and cifar10 alike; precision went the same
-        # way: the CLI and the benchmark build float32 models
+        # way: the CLI and the benchmark build float32 models; min_delta went
+        # when any epoch beating the phase's best became an improvement
         cfg = tmp_path / "old.cfg"
-        for line in ("blobs_per_class = 40", "precision = f64"):
+        for line in ("blobs_per_class = 40", "precision = f64",
+                     "min_delta = 0.01"):
             cfg.write_text(line + "\n")
             assert run(["train", "--config", str(cfg)]) == 2
             key = line.split()[0]
