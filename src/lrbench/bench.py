@@ -348,13 +348,13 @@ def emit_report(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
         fh.write("phase            epochs  valid_acc  wall_s\n")
         for p in report.phases:
             fh.write(f"{p.name:<16} {p.epochs_run:>6}  {p.final_valid_acc:>9.4f}"
-                     f"  {p.wall_seconds:>7.2f}\n")
-        fh.write(f"total_seconds: {report.total_seconds:.2f}\n")
+                     f"  {p.wall_seconds:>#7.4g}\n")
+        fh.write(f"total_seconds: {report.total_seconds:#.4g}\n")
         fh.write(f"reached_target: {'yes' if report.reached else 'no'}\n")
         if report.target_seconds is None:
             fh.write("time_to_target: not reached\n")
         else:
-            fh.write(f"time_to_target: {report.target_seconds:.2f} s "
+            fh.write(f"time_to_target: {report.target_seconds:#.4g} s "
                      f"(epoch {report.target_epoch})\n")
         fh.write(f"accuracy: {report.accuracy:.4f}\n")
         if report.eta_max is not None:

@@ -150,13 +150,13 @@ def cmd_benchmark(args) -> None:
 
     def to_target(report):
         seconds = report.target_seconds
-        return "none" if seconds is None else f"{seconds:.2f}s"
+        return "none" if seconds is None else f"{seconds:#.4g}s"
 
     print(f"conventional: acc={conv.accuracy:.4f} "
-          f"time={conv.total_seconds:.2f}s to_target={to_target(conv)} "
+          f"time={conv.total_seconds:#.4g}s to_target={to_target(conv)} "
           f"reached={conv.reached}")
     print(f"optimized:    acc={opt.accuracy:.4f} "
-          f"time={opt.total_seconds:.2f}s to_target={to_target(opt)} "
+          f"time={opt.total_seconds:#.4g}s to_target={to_target(opt)} "
           f"reached={opt.reached} eta_max={opt.eta_max!r}")
     ratio = ("not reached" if None in (conv.target_seconds, opt.target_seconds)
              else f"{speedup(conv.target_seconds, opt.target_seconds):.2f}")

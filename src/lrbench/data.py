@@ -31,6 +31,7 @@ CIFAR10_CLASSES = [
 ]
 
 RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
+_CROP_PAD = 4  # pixels of zero padding augment_batch crops from
 
 
 @dataclass
@@ -68,17 +69,17 @@ def normalize(images: np.ndarray, mean, std) -> np.ndarray:
     return (images - mean[None, :, None, None]) / std[None, :, None, None]
 
 
-def augment_batch(images: np.ndarray, rng: np.random.Generator,
-                  pad: int = 4) -> np.ndarray:
+def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random horizontal flip (p=0.5), vertical flip (p=0.5), then a random
-    crop from ``pad``-pixel zero padding back to the original size, for each
-    image of an (n, c, h, w) batch.
+    crop from _CROP_PAD-pixel zero padding back to the original size, for
+    each image of an (n, c, h, w) batch.
 
     The batch takes two draws: an (n, 2) uniform draw gives each image its
-    (hflip, vflip), then an (n, 2) integer draw in [0, 2 * pad] its (row,
-    col) crop offset in padded coordinates. A given generator state always
-    gives the same output.
+    (hflip, vflip), then an (n, 2) integer draw in [0, 2 * _CROP_PAD] its
+    (row, col) crop offset in padded coordinates. A given generator state
+    always gives the same output.
     """
+    pad = _CROP_PAD
     n, c, h, w = images.shape
     flips = (rng.random((n, 2)) < 0.5).tolist()
     offsets = rng.integers(0, 2 * pad + 1, size=(n, 2)).tolist()

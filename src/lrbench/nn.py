@@ -29,7 +29,6 @@ __all__ = [
     "Conv2d",
     "ReLU",
     "MaxPool2",
-    "Flatten",
     "Model",
     "ShapeError",
     "NonFiniteLossError",
@@ -64,15 +63,12 @@ class Layer:
     name: str = ""
     params = grads = vel = ()
 
-    def forward(self, x: np.ndarray):
-        raise NotImplementedError
-
-    def backward(self, grad_out: np.ndarray, cache):
-        raise NotImplementedError
-
 
 class Dense(Layer):
-    """Affine layer, input (n, in_dim) -> output (n, out_dim)."""
+    """Affine layer, input (n, ...) -> output (n, out_dim). Each sample's
+    trailing axes are read as its row of in_dim values (a copy when the
+    input is not laid out row by row), and the input gradient comes back in
+    the input's shape."""
 
     def __init__(self, in_dim: int, out_dim: int, bias: bool = True,
                  dtype=np.float32, rng: np.random.Generator | None = None):
@@ -85,23 +81,24 @@ class Dense(Layer):
         self.vel = [np.zeros_like(p) for p in self.params]
 
     def forward(self, x):
-        if x.ndim != 2:
-            raise ShapeError(f"{self.name or 'dense'}: expected 2-D input, got shape {x.shape}")
-        if x.shape[1] != self.W.shape[0]:
+        if x.ndim < 2:
+            raise ShapeError(f"{self.name or 'dense'}: expected input of rank >= 2, got shape {x.shape}")
+        rows = x.reshape(len(x), math.prod(x.shape[1:]))
+        if rows.shape[1] != self.W.shape[0]:
             raise ShapeError(
-                f"{self.name or 'dense'}: input width {x.shape[1]} != {self.W.shape[0]}"
+                f"{self.name or 'dense'}: input width {rows.shape[1]} != {self.W.shape[0]}"
             )
-        y = x @ self.W
+        y = rows @ self.W
         if self.b is not None:
             y = y + self.b
-        return y, x
+        return y, (rows, x.shape)
 
     def backward(self, grad_out, cache, need_input_grad=True):
-        x = cache
-        np.matmul(x.T, grad_out, out=self.grads[0])
+        rows, shape = cache
+        np.matmul(rows.T, grad_out, out=self.grads[0])
         if self.b is not None:
             grad_out.sum(axis=0, out=self.grads[1])
-        return grad_out @ self.W.T if need_input_grad else None
+        return (grad_out @ self.W.T).reshape(shape) if need_input_grad else None
 
 
 # Rows per forward call in predict for a model that holds a Conv2d, whose
@@ -277,14 +274,6 @@ class MaxPool2(Layer):
         return g
 
 
-class Flatten(Layer):
-    def forward(self, x):
-        return x.reshape(x.shape[0], -1), x.shape
-
-    def backward(self, grad_out, cache):
-        return grad_out.reshape(cache)
-
-
 class Model:
     """Ordered layer stack; the targets given to backward pick the loss.
 
@@ -453,11 +442,11 @@ def train_step(model: Model, xb: np.ndarray, yb: np.ndarray, lr,
 
 def build_mlp(input_shape, n_classes: int, hidden=(64, 64),
               dtype=np.float32, seed: int = 0) -> Model:
-    """Flatten -> (Dense+ReLU)* -> Dense classifier head."""
+    """(Dense+ReLU)* -> Dense classifier head; the first Dense reads each
+    sample of ``input_shape`` as one row."""
     rng = np.random.default_rng(seed)
-    in_dim = int(np.prod(input_shape))
-    layers: list[Layer] = [Flatten()]
-    width = in_dim
+    layers: list[Layer] = []
+    width = int(np.prod(input_shape))
     for h in hidden:
         layers.append(Dense(width, h, dtype=dtype, rng=rng))
         layers.append(ReLU())
@@ -484,7 +473,6 @@ def build_cnn(input_shape, n_classes: int, dtype=np.float32, seed: int = 0) -> M
         Conv2d(8, 16, 3, dtype=dtype, rng=rng),
         MaxPool2(),
         ReLU(),
-        Flatten(),
         Dense(flat, 32, dtype=dtype, rng=rng),
         ReLU(),
         Dense(32, n_classes, dtype=dtype, rng=rng),

@@ -17,8 +17,8 @@ from lrbench.cli import run as cli_run
 from lrbench.data import make_blobs
 from lrbench.finder import RangeTestConfig, range_test, suggest_lr
 from lrbench.groups import precompute_features, split_head
-from lrbench.nn import (Conv2d, Dense, Flatten, MaxPool2, Model, ReLU,
-                        build_mlp, forward, train_step)
+from lrbench.nn import (Conv2d, Dense, MaxPool2, Model, ReLU, build_mlp,
+                        forward, train_step)
 from lrbench.schedule import CosineCycleConfig, cosine_lr, dump_schedule, lr_at
 from lrbench.train import TrainConfig
 
@@ -141,10 +141,10 @@ def random_gradient_case(i):
     them every layer type and both losses appear."""
     rng = np.random.default_rng(1000 + i)
     kind = i % 4
-    if kind == 0:  # image in, flatten, two dense, softmax CE
+    if kind == 0:  # image in, two dense, softmax CE
         d1 = int(rng.integers(3, 7))
         k = int(rng.integers(2, 5))
-        layers = [Flatten(), Dense(6, d1, dtype=np.float64, rng=rng), ReLU(),
+        layers = [Dense(6, d1, dtype=np.float64, rng=rng), ReLU(),
                   Dense(d1, k, dtype=np.float64, rng=rng)]
         model = Model(layers, dtype=np.float64)
         x = rng.standard_normal((4, 1, 2, 3))
@@ -158,12 +158,11 @@ def random_gradient_case(i):
         x = rng.standard_normal((3, d0))
         y = rng.integers(0, 3, 3)
         wd = float(rng.uniform(0.01, 0.3))
-    elif kind == 2:  # conv, relu, pool, flatten, dense head
+    elif kind == 2:  # conv, relu, pool, dense head
         ch = int(rng.integers(1, 3))
         out_ch = int(rng.integers(2, 4))
         layers = [Conv2d(ch, out_ch, 3, dtype=np.float64, rng=rng), ReLU(),
-                  MaxPool2(), Flatten(),
-                  Dense(out_ch * 4, 3, dtype=np.float64, rng=rng)]
+                  MaxPool2(), Dense(out_ch * 4, 3, dtype=np.float64, rng=rng)]
         model = Model(layers, dtype=np.float64)
         x = rng.standard_normal((2, ch, 4, 4))
         y = rng.integers(0, 3, 2)

@@ -9,6 +9,8 @@ from lrbench.bench import (BenchConfig, RunReport, _time_to_target,
                            build_model, confusion, emit_report,
                            load_bench_dataset, predictions, run_conventional,
                            run_optimized, run_range_test, speedup)
+from lrbench.data import (CIFAR10_MEAN, CIFAR10_STD, Dataset, load_cifar10,
+                          normalize, split)
 from lrbench.errors import ConfigError
 from lrbench.finder import RangeTestConfig, write_trace_csv
 from lrbench.groups import precompute_features, split_head
@@ -63,6 +65,25 @@ class TestLoadBenchDataset:
         assert len(tr) == 99
         assert len(va) == 21
         assert tr.n_classes == 3
+
+    def test_cifar_file_is_normalized_then_split(self, tmp_path):
+        # six valid 3073-byte records per class: a label byte, then pixels
+        rng = np.random.default_rng(3)
+        labels = rng.permutation(np.repeat(np.arange(10, dtype=np.uint8), 6))
+        pixels = rng.integers(0, 256, size=(60, 3072), dtype=np.uint8)
+        path = tmp_path / "data_batch_1.bin"
+        np.concatenate([labels[:, None], pixels], axis=1).tofile(path)
+        cfg = tiny_config(dataset=f"cifar10:{path}", n_per_class=6)
+        raw = load_cifar10(path, 6)
+        expected = split(
+            Dataset(normalize(raw.images, CIFAR10_MEAN, CIFAR10_STD),
+                    raw.labels, raw.class_names),
+            cfg.split_num, cfg.split_den, seed=cfg.train.seed)
+        for got, want in zip(load_bench_dataset(cfg), expected):
+            assert got.images.dtype == want.images.dtype
+            assert np.array_equal(got.images, want.images)
+            assert np.array_equal(got.labels, want.labels)
+            assert got.class_names == want.class_names
 
     def test_cifar_spec_needs_path(self):
         with pytest.raises(ConfigError, match="cifar10:PATH"):
@@ -196,7 +217,14 @@ class TestTimeToTarget:
                            history=self.HISTORY, class_names=["a", "b"],
                            target_seconds=4.75, target_epoch=3)
         *_, summary = emit_report(report, tmp_path)
-        assert "time_to_target: 4.75 s (epoch 3)\n" in summary.read_text()
+        text = summary.read_text()
+        assert "time_to_target: 4.750 s (epoch 3)\n" in text
+        # every time in four significant digits
+        assert text.splitlines()[2].endswith("  2.500")
+        assert "total_seconds: 6.000\n" in text
+        report.target_seconds = 0.004412
+        *_, summary = emit_report(report, tmp_path)
+        assert "time_to_target: 0.004412 s (epoch 3)\n" in summary.read_text()
         report.target_seconds = report.target_epoch = None
         *_, summary = emit_report(report, tmp_path)
         assert "time_to_target: not reached\n" in summary.read_text()

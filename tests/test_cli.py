@@ -366,10 +366,13 @@ class TestBenchmarkCommand:
         assert lines[-2].startswith("time_to_target_ratio: ")
 
     @pytest.mark.parametrize("conv_s, opt_s, fields, ratio", [
-        (6.0, 3.0, ("6.00s", "3.00s"), "2.00"),
-        (None, 3.0, ("none", "3.00s"), "not reached"),
-        (6.0, None, ("6.00s", "none"), "not reached"),
-    ], ids=["both", "conventional-missed", "optimized-missed"])
+        (6.0, 3.0, ("6.000s", "3.000s"), "2.00"),
+        (None, 3.0, ("none", "3.000s"), "not reached"),
+        (6.0, None, ("6.000s", "none"), "not reached"),
+        # four significant digits, so the fields reproduce the ratio
+        (0.004412, 0.01207, ("0.004412s", "0.01207s"), "0.37"),
+    ], ids=["both", "conventional-missed", "optimized-missed",
+            "milliseconds"])
     def test_prints_the_time_to_target_ratio(
             self, tmp_path, tiny_config_file, capsys, monkeypatch, conv_s,
             opt_s, fields, ratio):
@@ -387,8 +390,8 @@ class TestBenchmarkCommand:
         assert run(["benchmark", "--config", str(tiny_config_file),
                     "--out", str(tmp_path / "out")]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert f"time=8.00s to_target={fields[0]} " in lines[-4]
-        assert f"time=2.00s to_target={fields[1]} " in lines[-3]
+        assert f"time=8.000s to_target={fields[0]} " in lines[-4]
+        assert f"time=2.000s to_target={fields[1]} " in lines[-3]
         assert lines[-2:] == [f"time_to_target_ratio: {ratio}",
                               "speedup: 4.00"]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lrbench.data
 from lrbench.data import (CIFAR10_CLASSES, Dataset, augment_batch,
                           load_cifar10, make_blobs, normalize, split)
 from lrbench.errors import DataError
@@ -144,11 +145,12 @@ class TestAugment:
         for img, got in zip(imgs, out):
             assert set(got.ravel()) <= set(img.ravel()) | {0.0}
 
-    def test_seeded_batch_is_pinned(self):
+    def test_seeded_batch_is_pinned(self, monkeypatch):
         # default_rng(1) draws (hflip, vflip) = (0, 0), (1, 0), (1, 1),
         # (0, 1) and padded-crop offsets (1, 1), (0, 0), (2, 2), (2, 1)
+        monkeypatch.setattr(lrbench.data, "_CROP_PAD", 1)
         imgs = np.arange(1, 37, dtype=np.float32).reshape(4, 1, 3, 3)
-        out = augment_batch(imgs, np.random.default_rng(1), pad=1)
+        out = augment_batch(imgs, np.random.default_rng(1))
         expected = np.array([
             [[[1, 2, 3], [4, 5, 6], [7, 8, 9]]],
             [[[0, 0, 0], [0, 12, 11], [0, 15, 14]]],
@@ -159,9 +161,10 @@ class TestAugment:
 
     @pytest.mark.parametrize("shape,pad", [((8, 3, 8, 8), 4), ((16, 3, 5, 7), 2),
                                            ((12, 2, 4, 4), 0)])
-    def test_matches_the_per_image_recipe(self, shape, pad):
+    def test_matches_the_per_image_recipe(self, shape, pad, monkeypatch):
+        monkeypatch.setattr(lrbench.data, "_CROP_PAD", pad)
         imgs = np.random.default_rng(8).random(shape).astype(np.float32)
-        out = augment_batch(imgs, np.random.default_rng(9), pad=pad)
+        out = augment_batch(imgs, np.random.default_rng(9))
         flips, offsets = drawn_augmentations(len(imgs), 9, pad)
         expected = np.stack([augment_oracle(img, *f, *o, pad=pad)
                              for img, f, o in zip(imgs, flips, offsets)])
@@ -171,7 +174,7 @@ class TestAugment:
         # at pad 4 a 2x2 image covers padded rows and columns 4-5, so any
         # offset below 3 or above 5 crops padding alone
         imgs = np.random.default_rng(10).random((64, 2, 2, 2)) + 1.0
-        out = augment_batch(imgs, np.random.default_rng(12), pad=4)
+        out = augment_batch(imgs, np.random.default_rng(12))
         flips, offsets = drawn_augmentations(len(imgs), 12, pad=4)
         blank = [not (3 <= oy <= 5 and 3 <= ox <= 5) for oy, ox in offsets]
         assert 0 < sum(blank) < len(imgs)

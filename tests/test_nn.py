@@ -6,8 +6,8 @@ import pytest
 from conftest import max_grad_rel_error
 from lrbench.groups import LayerGroupRates, split_head
 import lrbench.nn
-from lrbench.nn import (_BLOCK_ROWS, Conv2d, Dense, Flatten, MaxPool2,
-                        Model, NonFiniteLossError, ReLU, ShapeError, backward,
+from lrbench.nn import (_BLOCK_ROWS, Conv2d, Dense, MaxPool2, Model,
+                        NonFiniteLossError, ReLU, ShapeError, backward,
                         build_cnn, build_mlp, forward, predict, sgd_step,
                         softmax_cross_entropy, train_step)
 
@@ -105,14 +105,14 @@ class TestForward:
         with pytest.raises(ShapeError, match="width"):
             forward(model, np.ones((2, 7)))
 
-    @pytest.mark.parametrize("layer, shape, rank", [
-        (Dense(4, 3), (2, 1, 4), "2-D"),
-        (Conv2d(1, 2), (2, 4, 4), "4-D"),
-        (MaxPool2(), (2, 4, 4), "4-D"),
+    @pytest.mark.parametrize("layer, shape, expected", [
+        (Dense(4, 3), (4,), "input of rank >= 2"),
+        (Conv2d(1, 2), (2, 4, 4), "4-D input"),
+        (MaxPool2(), (2, 4, 4), "4-D input"),
     ], ids=["dense", "conv", "pool"])
-    def test_input_of_the_wrong_rank_is_named(self, layer, shape, rank):
-        with pytest.raises(ShapeError, match=f"expected {rank} input, got "
-                           rf"shape \({shape[0]}, "):
+    def test_input_of_the_wrong_rank_is_named(self, layer, shape, expected):
+        with pytest.raises(ShapeError, match=f"expected {expected}, got "
+                           rf"shape \({shape[0]},"):
             layer.forward(np.ones(shape, dtype=np.float32))
 
     def check_conv_matches_naive_loops(self, monkeypatch=None):
@@ -245,13 +245,26 @@ class TestForward:
         with pytest.raises(ValueError, match="ksize"):
             Conv2d(2, 3, ksize)
 
-    def test_flatten_round_trip(self):
-        model = Model([Flatten()], dtype=np.float64)
-        x = f64_rng().random((3, 2, 5))
+    def test_dense_reads_the_rows_of_a_channel_major_input(self):
+        # build_cnn's pool -> ReLU output: (n, c, h, w) laid out channel
+        # first, as the conv's output is
+        rng = f64_rng(14)
+        x = np.maximum(rng.standard_normal((5, 16, 2, 2), dtype=np.float32)
+                       .transpose(1, 0, 2, 3), 0)
+        assert not x.flags.c_contiguous
+        layer = Dense(20, 3, rng=rng)
+        model = Model([layer])
+        rows = np.ascontiguousarray(x).reshape(16, 20)
         y, caches = forward(model, x)
-        assert y.shape == (3, 10)
-        back = model.layers[0].backward(y, caches[0])
-        assert np.array_equal(back, x)
+        np.testing.assert_array_equal(y, rows @ layer.W + layer.b)
+        g = rng.standard_normal((16, 3), dtype=np.float32)
+        back = layer.backward(g, caches[0])
+        assert back.shape == x.shape
+        np.testing.assert_array_equal(back, (g @ layer.W.T).reshape(x.shape))
+        np.testing.assert_array_equal(layer.grads[0], rows.T @ g)
+        with pytest.raises(ShapeError, match=r"dense0: expected input of "
+                           r"rank >= 2, got shape \(20,\)"):
+            forward(model, rows[0])
 
 
 class TestPredict:
@@ -282,7 +295,7 @@ class TestPredict:
         # the cifar MLP reads its 3072 x 64 weight once per validation pass,
         # with the bits of the 16-row blocks a conv model runs in
         model = build_mlp((3, 32, 32), 10, seed=2)
-        assert model.layers[1].W.shape == (3072, 64)
+        assert model.layers[0].W.shape == (3072, 64)
         x = f64_rng(5).random((40, 3, 32, 32)).astype(np.float32)
         blocks = np.concatenate([forward(model, x[start:start + 16])[0]
                                  for start in range(0, 40, 16)])
@@ -382,7 +395,7 @@ class TestBackward:
         rng = f64_rng(0)
         x = rng.random((4, 3, 8, 8))
         y = rng.integers(0, 3, size=4)
-        mlp = Model([Flatten(), Dense(192, 8, dtype=np.float64, rng=rng),
+        mlp = Model([Dense(192, 8, dtype=np.float64, rng=rng),
                      ReLU(), Dense(8, 3, dtype=np.float64, rng=rng)],
                     dtype=np.float64)
         assert max_grad_rel_error(mlp, x, y) < 1e-4
@@ -401,8 +414,7 @@ class TestBackward:
         x = rng.random((2, 2, 4, 4))
         y = rng.integers(0, 2, size=2)
         model = Model([Conv2d(2, 3, 3, dtype=np.float64, rng=rng), ReLU(),
-                       MaxPool2(), Flatten(),
-                       Dense(12, 2, dtype=np.float64, rng=rng)],
+                       MaxPool2(), Dense(12, 2, dtype=np.float64, rng=rng)],
                       dtype=np.float64)
         assert max_grad_rel_error(model, x, y) < 1e-4
 
@@ -412,8 +424,7 @@ class TestBackward:
         x = rng.random((3, 2, 4, 6))
         y = rng.integers(0, 2, size=3)
         model = Model([Conv2d(2, 3, 3, dtype=np.float64, rng=rng), MaxPool2(),
-                       ReLU(), Flatten(),
-                       Dense(18, 2, dtype=np.float64, rng=rng)],
+                       ReLU(), Dense(18, 2, dtype=np.float64, rng=rng)],
                       dtype=np.float64)
         assert max_grad_rel_error(model, x, y) < 1e-4
 
@@ -424,8 +435,7 @@ class TestBackward:
         y = rng.integers(0, 2, size=3)
         model = Model([Conv2d(2, 3, 3, dtype=np.float64, rng=rng), ReLU(),
                        MaxPool2(), Conv2d(3, 4, 3, dtype=np.float64, rng=rng),
-                       ReLU(), Flatten(),
-                       Dense(16, 2, dtype=np.float64, rng=rng)],
+                       ReLU(), Dense(16, 2, dtype=np.float64, rng=rng)],
                       dtype=np.float64)
         assert max_grad_rel_error(model, x, y) < 1e-4
 
@@ -438,8 +448,7 @@ class TestBackward:
         y = rng.integers(0, 2, size=rows)
         model = Model([Conv2d(2, 3, ksize, dtype=np.float64, rng=rng), ReLU(),
                        Conv2d(3, 2, ksize, dtype=np.float64, rng=rng),
-                       Flatten(), Dense(2 * h * w, 2, dtype=np.float64,
-                                        rng=rng)],
+                       Dense(2 * h * w, 2, dtype=np.float64, rng=rng)],
                       dtype=np.float64)
         if monkeypatch is not None:
             # both convs hold 6 * ksize**2 weights
@@ -468,17 +477,17 @@ class TestBackward:
         x = rng.standard_normal((16, 48)).astype(np.float32)
         g = rng.standard_normal((16, 5)).astype(np.float32)
         arrays = list(layer.grads)
-        layer.backward(g, x, need_input_grad=False)
+        layer.backward(g, (x, x.shape), need_input_grad=False)
         assert all(a is b for a, b in zip(layer.grads, arrays))
         np.testing.assert_array_equal(layer.grads[0], x.T @ g)
         np.testing.assert_array_equal(layer.grads[1], g.sum(axis=0))
 
     def test_lowest_trainable_layer_skips_its_input_gradient(self):
         # every parameterized layer trains, so the lowest trainable layer is
-        # the lowest parameterized one, here above a Flatten
+        # the lowest parameterized one, here above a ReLU
         rng = f64_rng(10)
         lowest = Dense(4, 3, dtype=np.float64, rng=rng)
-        model = Model([Flatten(), lowest, ReLU(),
+        model = Model([ReLU(), lowest, ReLU(),
                        Dense(3, 2, dtype=np.float64, rng=rng)],
                       dtype=np.float64)
         flags = []
@@ -519,7 +528,7 @@ class TestBackward:
 
         def build():
             r = f64_rng(12)
-            return Model([Flatten(), Dense(5, 6, dtype=np.float64, rng=r),
+            return Model([ReLU(), Dense(5, 6, dtype=np.float64, rng=r),
                           ReLU(), Dense(6, 2, dtype=np.float64, rng=r)],
                          dtype=np.float64)
 
@@ -544,7 +553,7 @@ class TestBackward:
                 g.fill(np.nan)
         logits, caches = forward(model, x)
         loss = backward(model, logits, labels, caches)
-        # the Flatten below the first Dense is never called, and every
+        # the ReLU below the first Dense is never called, and every
         # gradient is written
         assert calls == [3, 2, 1]
         assert all(np.isfinite(g).all() for layer in model.param_layers()
@@ -559,12 +568,12 @@ class TestBackward:
 
     def test_model_without_parameters_backprops_nothing(self):
         rng = f64_rng(1)
-        layers = [Flatten(), ReLU()]
+        layers = [ReLU(), ReLU()]
         calls = []
         for layer in layers:
             layer.backward = lambda *args, **kwargs: calls.append(args)
         model = Model(layers, dtype=np.float64)
-        logits, caches = forward(model, rng.random((3, 2, 2)))
+        logits, caches = forward(model, rng.random((3, 4)))
         loss = backward(model, logits, np.array([0, 1, 3]), caches)
         assert math.isfinite(loss)
         assert calls == []
@@ -760,8 +769,8 @@ class TestBuilders:
     def test_cnn_blocks_pool_before_relu(self):
         model = build_cnn((3, 8, 8), 5, seed=0)
         assert [type(layer) for layer in model.layers] == [
-            Conv2d, MaxPool2, ReLU, Conv2d, MaxPool2, ReLU, Flatten, Dense,
-            ReLU, Dense]
+            Conv2d, MaxPool2, ReLU, Conv2d, MaxPool2, ReLU, Dense, ReLU,
+            Dense]
 
     def test_cnn_rejects_indivisible_dims(self):
         with pytest.raises(ShapeError):

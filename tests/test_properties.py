@@ -7,6 +7,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+import lrbench.data
 from lrbench.bench import BenchConfig
 from lrbench.config import CONFIG_KEYS, build_bench_config, parse_config_file
 from lrbench.data import Dataset, augment_batch, split
@@ -84,7 +85,9 @@ class TestAugmentBatchProperties:
         # place matches no candidate and the zero padding stands out
         images = np.arange(1, n * c * h * w + 1, dtype=np.float64).reshape(
             n, c, h, w)
-        out = augment_batch(images, np.random.default_rng(seed), pad=pad)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lrbench.data, "_CROP_PAD", pad)
+            out = augment_batch(images, np.random.default_rng(seed))
         assert out.shape == images.shape
         offsets = range(2 * pad + 1)
         draws = [(hf, vf, oy, ox) for hf in (False, True)

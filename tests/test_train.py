@@ -6,7 +6,7 @@ import pytest
 
 from lrbench.data import make_blobs
 from lrbench.errors import ConfigError
-from lrbench.nn import (Dense, Flatten, Model, build_mlp, forward,
+from lrbench.nn import (Dense, Model, build_mlp, forward,
                         softmax_cross_entropy)
 from lrbench import train
 from lrbench.train import (EpochRecord, PhaseResult, TrainConfig,
@@ -108,7 +108,7 @@ class TestEvaluate:
     def test_uniform_logits_oracle(self):
         # zero weights make every logit zero: loss is ln(k) and argmax
         # resolves to class 0 everywhere
-        model = Model([Flatten(), Dense(12, 3, dtype=np.float64)],
+        model = Model([Dense(12, 3, dtype=np.float64)],
                       dtype=np.float64)
         model.param_layers()[0].W[...] = 0.0
         model.param_layers()[0].b[...] = 0.0
