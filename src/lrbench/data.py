@@ -161,10 +161,6 @@ def split(dataset: Dataset, num: int, den: int, seed: int = 0) -> tuple[Dataset,
     """
     if num < 1 or den < 1:
         raise DataError(f"split ratio parts must be >= 1, got {num}:{den}")
-    if len(dataset) < num + den:
-        raise DataError(
-            f"dataset of {len(dataset)} samples cannot be split {num}:{den}"
-        )
     rng = np.random.default_rng(seed)
     frac = num / (num + den)
     train_idx: list[np.ndarray] = []

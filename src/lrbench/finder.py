@@ -83,18 +83,9 @@ def ramp_lr(step: int, cfg: RangeTestConfig) -> float:
     """Geometric ramp from lr_lo (step 0) to lr_hi (last step)."""
     if not 0 <= step < cfg.n_steps:
         raise ValueError(f"step {step} outside [0, {cfg.n_steps})")
-    if step == 0:
-        return cfg.lr_lo
     if step == cfg.n_steps - 1:
         return cfg.lr_hi
     return cfg.lr_lo * (cfg.lr_hi / cfg.lr_lo) ** (step / (cfg.n_steps - 1))
-
-
-def _ema_update(m: float, raw: float, beta: float, i: int) -> tuple[float, float]:
-    """Feed the (i+1)-th raw value into the running mean ``m``; returns the
-    new running mean and its bias-corrected value."""
-    m = beta * m + (1.0 - beta) * raw
-    return m, m / (1.0 - beta ** (i + 1))
 
 
 def range_test(model: Model, data, cfg: RangeTestConfig, rng_seed: int,
@@ -133,12 +124,10 @@ def range_test(model: Model, data, cfg: RangeTestConfig, rng_seed: int,
                 raw = train_step(probe, x_all[idx], y_all[idx], lr)
         except NonFiniteLossError as err:
             raw = err.value
-        m, smoothed = _ema_update(m, raw, beta, i)
+        m = beta * m + (1.0 - beta) * raw
+        smoothed = m / (1.0 - beta ** (i + 1))
         steps.append((lr, raw, smoothed))
-        if not math.isfinite(smoothed):
-            stop_reason = "diverged"
-            break
-        if smoothed > cfg.divergence_factor * best:
+        if not math.isfinite(smoothed) or smoothed > cfg.divergence_factor * best:
             stop_reason = "diverged"
             break
         best = min(best, smoothed)

@@ -51,8 +51,7 @@ def split_head(model: Model) -> tuple[Model, Model]:
     training the head view updates the real model and leaves the body as it
     was. Raises ShapeError for fewer than 3 parameterized layers."""
     cut = model.layers.index(model.param_groups()[2][0])
-    return (Model(model.layers[:cut], dtype=model.dtype),
-            Model(model.layers[cut:], dtype=model.dtype))
+    return Model(model.layers[:cut]), Model(model.layers[cut:])
 
 
 def precompute_features(body: Model, images) -> np.ndarray:

@@ -8,9 +8,9 @@ shifted slice (Conv2d).
 build_cnn pools before its ReLUs, so pooling ties are among raw conv
 outputs. MaxPool2 finds its winners in backward and ReLU takes its mask from
 its output, so a forward-only pass builds no mask. Everything runs on numpy
-in float32 or float64: float64 layers exist so the finite-difference
-gradient checks have headroom, while the CLI and the benchmark build float32
-models.
+in float32 or float64, and a model's precision is its parameters' dtype:
+float64 layers exist so the finite-difference gradient checks have headroom,
+while the CLI and the benchmark build float32 models.
 
 A Model instance is single-owner while training: forward/backward/sgd_step
 mutate its gradient and parameter buffers in place, and sgd_step leaves the
@@ -277,14 +277,17 @@ class MaxPool2(Layer):
 class Model:
     """Ordered layer stack; the targets given to backward pick the loss.
 
+    Its precision is its parameters' dtype, to which forward casts each
+    batch; a model without parameters keeps its input's dtype.
+
     The parameterized layers fall into three contiguous groups, lowest
     first (see param_groups): the classifier head alone is ``final`` and the
     layers below it split in half between ``initial`` and ``mid``.
     """
 
-    def __init__(self, layers: Sequence[Layer], dtype=np.float32):
+    def __init__(self, layers: Sequence[Layer]):
         self.layers = list(layers)
-        self.dtype = np.dtype(dtype)
+        self.dtype = next((l.params[0].dtype for l in self.layers if l.params), None)
         for i, layer in enumerate(self.layers):
             if not layer.name:
                 layer.name = f"{type(layer).__name__.lower()}{i}"
@@ -313,7 +316,7 @@ class Model:
 def forward(model: Model, batch: np.ndarray):
     """Run the batch through all layers; returns (logits, caches) where the
     caches hold whatever each layer needs for its backward pass."""
-    x = np.asarray(batch, dtype=model.dtype)
+    x = np.asarray(batch, model.dtype)
     caches = []
     for layer in model.layers:
         x, cache = layer.forward(x)
@@ -351,7 +354,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return _cross_entropy(logits, labels)[2]
 
 
-def _loss_and_grad(model: Model, logits: np.ndarray, labels: np.ndarray):
+def _loss_and_grad(logits: np.ndarray, labels: np.ndarray):
     n = logits.shape[0]
     labels = np.asarray(labels)
     if labels.dtype.kind in "iu":
@@ -368,7 +371,7 @@ def _loss_and_grad(model: Model, logits: np.ndarray, labels: np.ndarray):
         diff = logits - targets
         loss = float(0.5 * np.sum(diff * diff) / n)
         grad = diff / n
-    return loss, grad.astype(model.dtype, copy=False)
+    return loss, grad
 
 
 def backward(model: Model, logits: np.ndarray, labels: np.ndarray,
@@ -384,7 +387,7 @@ def backward(model: Model, logits: np.ndarray, labels: np.ndarray,
     Nothing below the lowest parameterized layer's weights is computed: that
     layer returns no input gradient and the layers under it are not called.
     """
-    loss, grad = _loss_and_grad(model, logits, labels)
+    loss, grad = _loss_and_grad(logits, labels)
     if not math.isfinite(loss):
         raise NonFiniteLossError(loss)
 
@@ -454,7 +457,7 @@ def build_mlp(input_shape, n_classes: int, hidden=(64, 64),
     head = Dense(width, n_classes, dtype=dtype, rng=rng)
     head.W *= 0.1  # small head keeps the initial loss near ln(n_classes)
     layers.append(head)
-    return Model(layers, dtype=dtype)
+    return Model(layers)
 
 
 def build_cnn(input_shape, n_classes: int, dtype=np.float32, seed: int = 0) -> Model:
@@ -478,4 +481,4 @@ def build_cnn(input_shape, n_classes: int, dtype=np.float32, seed: int = 0) -> M
         Dense(32, n_classes, dtype=dtype, rng=rng),
     ]
     layers[-1].W *= 0.1  # small head keeps the initial loss near ln(n_classes)
-    return Model(layers, dtype=dtype)
+    return Model(layers)

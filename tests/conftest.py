@@ -28,7 +28,7 @@ def quadratic_problem():
 def quadratic_model(seed=0):
     layer = Dense(2, 1, bias=False, dtype=np.float64,
                   rng=np.random.default_rng(seed))
-    return Model([layer], dtype=np.float64)
+    return Model([layer])
 
 
 @pytest.fixture

@@ -146,7 +146,7 @@ def random_gradient_case(i):
         k = int(rng.integers(2, 5))
         layers = [Dense(6, d1, dtype=np.float64, rng=rng), ReLU(),
                   Dense(d1, k, dtype=np.float64, rng=rng)]
-        model = Model(layers, dtype=np.float64)
+        model = Model(layers)
         x = rng.standard_normal((4, 1, 2, 3))
         y = rng.integers(0, k, 4)
         wd = 0.0
@@ -154,7 +154,7 @@ def random_gradient_case(i):
         d0, d1 = int(rng.integers(4, 8)), int(rng.integers(3, 6))
         layers = [Dense(d0, d1, bias=False, dtype=np.float64, rng=rng), ReLU(),
                   Dense(d1, 3, dtype=np.float64, rng=rng)]
-        model = Model(layers, dtype=np.float64)
+        model = Model(layers)
         x = rng.standard_normal((3, d0))
         y = rng.integers(0, 3, 3)
         wd = float(rng.uniform(0.01, 0.3))
@@ -163,7 +163,7 @@ def random_gradient_case(i):
         out_ch = int(rng.integers(2, 4))
         layers = [Conv2d(ch, out_ch, 3, dtype=np.float64, rng=rng), ReLU(),
                   MaxPool2(), Dense(out_ch * 4, 3, dtype=np.float64, rng=rng)]
-        model = Model(layers, dtype=np.float64)
+        model = Model(layers)
         x = rng.standard_normal((2, ch, 4, 4))
         y = rng.integers(0, 3, 2)
         wd = 0.0
@@ -171,7 +171,7 @@ def random_gradient_case(i):
         d0, d1 = int(rng.integers(3, 6)), int(rng.integers(2, 4))
         layers = [Dense(d0, 4, dtype=np.float64, rng=rng), ReLU(),
                   Dense(4, d1, dtype=np.float64, rng=rng)]
-        model = Model(layers, dtype=np.float64)
+        model = Model(layers)
         x = rng.standard_normal((3, d0))
         y = rng.standard_normal((3, d1))
         wd = float(rng.uniform(0.0, 0.1))

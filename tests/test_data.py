@@ -223,9 +223,16 @@ class TestSplit:
             split(ds, 5, 0)
 
     def test_too_small_dataset_rejected(self):
+        # round(1 * 5/6) = 1: both rows go to train
         ds = make_blobs(n_per_class=1, n_classes=2)
-        with pytest.raises(DataError, match="cannot be split"):
+        with pytest.raises(DataError, match="leaves the valid part empty"):
             split(ds, 5, 1)
+
+    def test_fewer_rows_than_ratio_parts_can_split(self):
+        # 6 rows split 5:2: round(2 * 5/7) = 1 train row per class
+        ds = make_blobs(n_per_class=2, n_classes=3)
+        tr, va = split(ds, 5, 2)
+        assert tr.labels.tolist() == va.labels.tolist() == [0, 1, 2]
 
     def test_rounding_that_empties_a_part_is_named(self):
         # round(1 * 1/2) rounds half to even: 0 train rows in either class

@@ -7,8 +7,7 @@ import pytest
 import lrbench.finder
 from conftest import QUAD_CURVATURE, quadratic_model, quadratic_problem
 from lrbench.finder import (LRFinderTrace, NoDescentFound, RangeTestConfig,
-                            _ema_update, ramp_lr, range_test, suggest_lr,
-                            write_trace_csv)
+                            ramp_lr, range_test, suggest_lr, write_trace_csv)
 from lrbench.nn import Dense, Model, ReLU, train_step
 
 
@@ -65,8 +64,7 @@ def probe_trace(x, y, beta, model=None):
     """A completed 50-step range test of ``model`` (by default a 3-class
     Dense layer) on (x, y)."""
     model = model or Model([Dense(4, 3, dtype=np.float64,
-                                  rng=np.random.default_rng(2))],
-                           dtype=np.float64)
+                                  rng=np.random.default_rng(2))])
     cfg = RangeTestConfig(lr_lo=1e-4, lr_hi=0.5, n_steps=50,
                           smoothing_beta=beta)
     trace = range_test(model, (x, y), cfg, rng_seed=0, batch_size=8)
@@ -91,17 +89,10 @@ class TestSmoothLosses:
         # every probe
         x, y = np.ones((64, 4)), np.zeros(64, dtype=np.int64)
         for beta in (0.0, 0.5, 0.9, 0.98):
-            trace = probe_trace(x, y, beta, Model([ReLU()], dtype=np.float64))
+            trace = probe_trace(x, y, beta, Model([ReLU()]))
             raws = [r for _, r, _ in trace.steps]
             assert raws == [raws[0]] * len(raws)
             assert [s for _, _, s in trace.steps] == pytest.approx(raws, rel=1e-12)
-
-    def test_hand_evaluated_pair(self):
-        # m0 = 0.5*0, s0 = 0/(1-0.5) = 0; m1 = 0.5*0 + 0.5*1 = 0.5,
-        # s1 = 0.5/(1-0.25) = 2/3
-        m, s0 = _ema_update(0.0, 0.0, 0.5, 0)
-        assert (m, s0) == (0.0, 0.0)
-        assert _ema_update(m, 1.0, 0.5, 1) == pytest.approx((0.5, 2 / 3))
 
     def test_matches_naive_recurrence(self, rng):
         beta = 0.98
@@ -120,7 +111,7 @@ class TestRangeTest:
         # a model without parameters has nothing to train, so every probe
         # sees the same loss
         x, _ = quadratic_problem()
-        model = Model([ReLU()], dtype=np.float64)
+        model = Model([ReLU()])
         cfg = RangeTestConfig(lr_lo=1e-4, lr_hi=1.0, n_steps=20)
         trace = range_test(model, (x, np.zeros_like(x)), cfg, rng_seed=0,
                            batch_size=2)
@@ -170,8 +161,7 @@ class TestRangeTest:
 
         def run():
             model = Model([Dense(4, 3, dtype=np.float64,
-                                 rng=np.random.default_rng(2))],
-                          dtype=np.float64)
+                                 rng=np.random.default_rng(2))])
             return range_test(model, (x, y), cfg, rng_seed=99, batch_size=8)
 
         t1, t2 = run(), run()
@@ -229,7 +219,7 @@ class TestRangeTest:
 
         monkeypatch.setattr(lrbench.finder, "train_step", spied_step)
         x = np.arange(n, dtype=np.float64)[:, None]
-        model = Model([Dense(1, 2, dtype=np.float64)], dtype=np.float64)
+        model = Model([Dense(1, 2, dtype=np.float64)])
         cfg = RangeTestConfig(lr_lo=1e-6, lr_hi=1e-5, n_steps=10)
         trace = range_test(model, (x, np.zeros(n, dtype=int)), cfg,
                            rng_seed=0, batch_size=batch_size)

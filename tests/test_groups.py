@@ -97,7 +97,7 @@ class TestPrecomputeFeatures:
         model = build_mlp((3, 8, 8), 3)
         ds = make_blobs(n_per_class=10, seed=0)
         features = precompute_features(split_head(model)[0], ds.images)
-        out = np.asarray(ds.images, dtype=model.dtype)
+        out = np.asarray(ds.images, model.dtype)
         for layer in model.layers[:-1]:
             out, _ = layer.forward(out)
         np.testing.assert_array_equal(features, out)

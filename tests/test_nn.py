@@ -67,7 +67,7 @@ class TestForward:
     def test_zero_weight_model_gives_zero_logits(self):
         layer = Dense(4, 3, dtype=np.float64)
         layer.W[...] = 0.0
-        model = Model([layer], dtype=np.float64)
+        model = Model([layer])
         logits, _ = forward(model, np.ones((5, 4)))
         assert np.all(logits == 0.0)
 
@@ -75,7 +75,7 @@ class TestForward:
         layer = Dense(3, 3, dtype=np.float64)
         layer.W[...] = np.eye(3)
         layer.b[...] = 0.0
-        model = Model([layer], dtype=np.float64)
+        model = Model([layer])
         x = f64_rng().random((4, 3))
         logits, _ = forward(model, x)
         assert np.allclose(logits, x)
@@ -84,7 +84,7 @@ class TestForward:
         rng = f64_rng(3)
         l1 = Dense(4, 5, dtype=np.float64, rng=rng)
         l2 = Dense(5, 2, dtype=np.float64, rng=rng)
-        model = Model([l1, ReLU(), l2], dtype=np.float64)
+        model = Model([l1, ReLU(), l2])
         x = rng.random((3, 4))
         logits, _ = forward(model, x)
         for n in range(3):
@@ -100,8 +100,25 @@ class TestForward:
                     acc += hidden[j] * l2.W[j, k]
                 assert logits[n, k] == pytest.approx(acc, rel=1e-12)
 
+    def test_precision_is_the_parameters_dtype(self):
+        rng = f64_rng(17)
+        layer = Dense(3, 2, dtype=np.float64, rng=rng)
+        layer.b[...] = rng.standard_normal(2)
+        model = Model([ReLU(), layer])
+        assert model.dtype == np.float64
+        # positive, so the ReLU passes them, and beyond float32's 24 bits
+        x = 1.0 + rng.random((4, 3)) * 2.0**-40
+        assert not np.array_equal(x.astype(np.float32), x)
+        logits, _ = forward(model, x)
+        assert logits.dtype == np.float64
+        np.testing.assert_array_equal(logits, x @ layer.W + layer.b)
+        # a model without parameters keeps its input's dtype
+        for dtype in (np.float32, np.float64):
+            out, _ = forward(Model([ReLU()]), np.ones((2, 3), dtype=dtype))
+            assert out.dtype == dtype
+
     def test_shape_mismatch_is_descriptive(self):
-        model = Model([Dense(4, 3)], dtype=np.float32)
+        model = Model([Dense(4, 3)])
         with pytest.raises(ShapeError, match="width"):
             forward(model, np.ones((2, 7)))
 
@@ -128,7 +145,7 @@ class TestForward:
             if monkeypatch is not None:
                 gemm_blocks_of_32_cells(monkeypatch, conv, rows, h, w)
             x = rng.random((rows, 2, h, w))
-            model = Model([conv], dtype=np.float64)
+            model = Model([conv])
             y, _ = forward(model, x)
             assert y.shape == (rows, 3, h, w)
             assert np.allclose(y, conv_naive(x, conv.W, conv.b), atol=1e-12)
@@ -180,7 +197,7 @@ class TestForward:
     def test_pool_matches_naive_loops(self):
         rng = f64_rng(6)
         x = rng.random((2, 3, 6, 4))
-        model = Model([MaxPool2()], dtype=np.float64)
+        model = Model([MaxPool2()])
         y, _ = forward(model, x)
         assert np.array_equal(y, pool_naive(x))
 
@@ -215,7 +232,7 @@ class TestForward:
         g = rng.standard_normal((3, 4, 3, 4)).astype(dtype)
         outs, grads = [], []
         for layers in ([MaxPool2(), ReLU()], [ReLU(), MaxPool2()]):
-            y, caches = forward(Model(layers, dtype=dtype), x)
+            y, caches = forward(Model(layers), x)
             back = g
             for layer, cache in zip(reversed(layers), reversed(caches)):
                 back = layer.backward(back, cache)
@@ -230,12 +247,12 @@ class TestForward:
             assert np.count_nonzero(grads[0]) == np.count_nonzero(outs[0])
 
     def test_pool_rejects_odd_dims(self):
-        model = Model([MaxPool2()], dtype=np.float32)
+        model = Model([MaxPool2()])
         with pytest.raises(ShapeError):
             forward(model, np.ones((1, 1, 5, 4)))
 
     def test_conv_rejects_wrong_channel_count(self):
-        model = Model([Conv2d(3, 4)], dtype=np.float32)
+        model = Model([Conv2d(3, 4)])
         with pytest.raises(ShapeError):
             forward(model, np.ones((1, 2, 4, 4)))
 
@@ -359,7 +376,7 @@ class TestLoss:
     def test_non_finite_loss_raises_with_value(self):
         layer = Dense(2, 2, dtype=np.float64)
         layer.W[...] = np.inf
-        model = Model([layer], dtype=np.float64)
+        model = Model([layer])
         logits, caches = forward(model, np.ones((1, 2)))
         with np.errstate(invalid="ignore"):
             with pytest.raises(NonFiniteLossError) as err:
@@ -371,7 +388,7 @@ class TestLoss:
         # cross-entropy, float targets of the logits' shape give squared error
         rng = f64_rng(3)
         layer = Dense(5, 4, dtype=np.float64, rng=rng)
-        model = Model([layer], dtype=np.float64)
+        model = Model([layer])
         x = rng.standard_normal((6, 5))
         logits, caches = forward(model, x)
         for dtype in (np.int64, np.int32, np.uint8):
@@ -396,8 +413,7 @@ class TestBackward:
         x = rng.random((4, 3, 8, 8))
         y = rng.integers(0, 3, size=4)
         mlp = Model([Dense(192, 8, dtype=np.float64, rng=rng),
-                     ReLU(), Dense(8, 3, dtype=np.float64, rng=rng)],
-                    dtype=np.float64)
+                     ReLU(), Dense(8, 3, dtype=np.float64, rng=rng)])
         assert max_grad_rel_error(mlp, x, y) < 1e-4
 
     def test_gradients_with_weight_decay(self):
@@ -405,8 +421,7 @@ class TestBackward:
         x = rng.random((3, 6))
         y = rng.integers(0, 2, size=3)
         model = Model([Dense(6, 4, dtype=np.float64, rng=rng), ReLU(),
-                       Dense(4, 2, dtype=np.float64, rng=rng)],
-                      dtype=np.float64)
+                       Dense(4, 2, dtype=np.float64, rng=rng)])
         assert max_grad_rel_error(model, x, y, weight_decay=0.1) < 1e-4
 
     def test_conv_pool_gradients(self):
@@ -414,8 +429,7 @@ class TestBackward:
         x = rng.random((2, 2, 4, 4))
         y = rng.integers(0, 2, size=2)
         model = Model([Conv2d(2, 3, 3, dtype=np.float64, rng=rng), ReLU(),
-                       MaxPool2(), Dense(12, 2, dtype=np.float64, rng=rng)],
-                      dtype=np.float64)
+                       MaxPool2(), Dense(12, 2, dtype=np.float64, rng=rng)])
         assert max_grad_rel_error(model, x, y) < 1e-4
 
     def test_conv_pool_relu_gradients(self):
@@ -424,8 +438,7 @@ class TestBackward:
         x = rng.random((3, 2, 4, 6))
         y = rng.integers(0, 2, size=3)
         model = Model([Conv2d(2, 3, 3, dtype=np.float64, rng=rng), MaxPool2(),
-                       ReLU(), Dense(18, 2, dtype=np.float64, rng=rng)],
-                      dtype=np.float64)
+                       ReLU(), Dense(18, 2, dtype=np.float64, rng=rng)])
         assert max_grad_rel_error(model, x, y) < 1e-4
 
     def test_conv_input_gradient_through_a_second_conv(self):
@@ -435,8 +448,7 @@ class TestBackward:
         y = rng.integers(0, 2, size=3)
         model = Model([Conv2d(2, 3, 3, dtype=np.float64, rng=rng), ReLU(),
                        MaxPool2(), Conv2d(3, 4, 3, dtype=np.float64, rng=rng),
-                       ReLU(), Dense(16, 2, dtype=np.float64, rng=rng)],
-                      dtype=np.float64)
+                       ReLU(), Dense(16, 2, dtype=np.float64, rng=rng)])
         assert max_grad_rel_error(model, x, y) < 1e-4
 
     def check_conv_gradients_on_non_square_grids(self, h, w, ksize,
@@ -448,8 +460,7 @@ class TestBackward:
         y = rng.integers(0, 2, size=rows)
         model = Model([Conv2d(2, 3, ksize, dtype=np.float64, rng=rng), ReLU(),
                        Conv2d(3, 2, ksize, dtype=np.float64, rng=rng),
-                       Dense(2 * h * w, 2, dtype=np.float64, rng=rng)],
-                      dtype=np.float64)
+                       Dense(2 * h * w, 2, dtype=np.float64, rng=rng)])
         if monkeypatch is not None:
             # both convs hold 6 * ksize**2 weights
             gemm_blocks_of_32_cells(monkeypatch, model.layers[0], rows, h, w)
@@ -488,8 +499,7 @@ class TestBackward:
         rng = f64_rng(10)
         lowest = Dense(4, 3, dtype=np.float64, rng=rng)
         model = Model([ReLU(), lowest, ReLU(),
-                       Dense(3, 2, dtype=np.float64, rng=rng)],
-                      dtype=np.float64)
+                       Dense(3, 2, dtype=np.float64, rng=rng)])
         flags = []
         original = lowest.backward
 
@@ -529,8 +539,7 @@ class TestBackward:
         def build():
             r = f64_rng(12)
             return Model([ReLU(), Dense(5, 6, dtype=np.float64, rng=r),
-                          ReLU(), Dense(6, 2, dtype=np.float64, rng=r)],
-                         dtype=np.float64)
+                          ReLU(), Dense(6, 2, dtype=np.float64, rng=r)])
 
         model = build()
         calls = []
@@ -572,7 +581,7 @@ class TestBackward:
         calls = []
         for layer in layers:
             layer.backward = lambda *args, **kwargs: calls.append(args)
-        model = Model(layers, dtype=np.float64)
+        model = Model(layers)
         logits, caches = forward(model, rng.random((3, 4)))
         loss = backward(model, logits, np.array([0, 1, 3]), caches)
         assert math.isfinite(loss)
@@ -591,7 +600,7 @@ class TestBackward:
 class TestSgdStep:
     def test_plain_step_subtracts_gradient(self):
         layer = Dense(2, 2, dtype=np.float64)
-        model = Model([layer], dtype=np.float64)
+        model = Model([layer])
         before = layer.W.copy()
         g = np.full_like(layer.W, 0.25)
         layer.grads[0][...] = g
@@ -604,13 +613,13 @@ class TestSgdStep:
         before = [p.copy() for p in layer.params + head.params]
         for g in layer.grads + head.grads:
             g[...] = 1.0
-        sgd_step(Model([head], dtype=np.float64), lr=1.0, momentum=0.9)
+        sgd_step(Model([head]), lr=1.0, momentum=0.9)
         assert all(np.array_equal(p, b) for p, b in zip(layer.params, before))
         assert not np.array_equal(head.W, before[2])
 
     def test_two_momentum_steps_hand_unrolled(self):
         layer = Dense(3, 2, dtype=np.float64)
-        model = Model([layer], dtype=np.float64)
+        model = Model([layer])
         before = layer.W.copy()
         g = np.full_like(layer.W, 0.5)
         lr = 0.1
@@ -624,7 +633,7 @@ class TestSgdStep:
     def test_l2_coupling_scales_params(self):
         # powers of two so the scaling is bit-exact
         layer = Dense(3, 3, bias=False, dtype=np.float64)
-        model = Model([layer], dtype=np.float64)
+        model = Model([layer])
         before = layer.W.copy()
         layer.grads[0][...] = 0.0
         sgd_step(model, lr=0.5, weight_decay=0.25)
@@ -633,7 +642,7 @@ class TestSgdStep:
     def test_l2_coupling_generic_values(self):
         layer = Dense(4, 2, bias=False, dtype=np.float64,
                       rng=f64_rng(8))
-        model = Model([layer], dtype=np.float64)
+        model = Model([layer])
         before = layer.W.copy()
         layer.grads[0][...] = 0.0
         sgd_step(model, lr=0.013, weight_decay=0.37)
@@ -644,7 +653,7 @@ class TestSgdStep:
         # four layers: the middle two form the mid group
         layers = [Dense(2, 2, bias=False, dtype=np.float64, rng=rng)
                   for _ in range(4)]
-        model = Model(layers, dtype=np.float64)
+        model = Model(layers)
         before = [l.W.copy() for l in layers]
         for l in layers:
             l.grads[0][...] = 1.0
@@ -663,7 +672,7 @@ class TestSgdStep:
 
     def test_group_rates_without_partition_rejected(self):
         # one parameterized layer cannot form three groups
-        model = Model([Dense(2, 2, dtype=np.float64)], dtype=np.float64)
+        model = Model([Dense(2, 2, dtype=np.float64)])
         model.layers[0].grads[0][...] = 1.0
         before = model.layers[0].W.copy()
         with pytest.raises(ShapeError, match="at least 3"):
@@ -740,7 +749,7 @@ class TestDeterminismAndState:
         split = model.layers.index(trained)
         before = [p.copy() for p in frozen_layer.params]
         trained_before = trained.W.copy()
-        upper = Model(model.layers[split:], dtype=np.float32)
+        upper = Model(model.layers[split:])
         rng = np.random.default_rng(5)
         x = rng.random((32, 2, 4, 4)).astype(np.float32)
         y = rng.integers(0, 3, size=32)

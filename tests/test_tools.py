@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +10,18 @@ import pytest
 from lrbench.bench import RunReport
 from lrbench.finder import LRFinderTrace
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "seeded_outputs.py"
-spec = importlib.util.spec_from_file_location("seeded_outputs", TOOL)
-seeded_outputs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(seeded_outputs)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+seeded_outputs = load_tool("seeded_outputs")
+unreached = load_tool("unreached")
 
 
 def report(valid_loss=0.5):
@@ -126,3 +136,30 @@ def test_report_outputs_take_the_finder_trace_from_the_report():
     assert conventional["finder_traces"] == []
     assert optimized["finder_traces"] == [
         [[1e-3, 2.0, 2.0], [1e-2, 1.5, 1.7], "completed"]]
+
+
+def test_unreached_lists_the_body_of_an_uncalled_function(tmp_path):
+    path = tmp_path / "two.py"
+    path.write_text('def called():\n'
+                    '    """Runs."""\n'
+                    '    return 1\n'
+                    '\n'
+                    '\n'
+                    'def uncalled():\n'
+                    '    """Never runs."""\n'
+                    '    return 2\n')
+
+    def found(frame, event, arg):
+        return None
+
+    outer = sys.gettrace()
+    sys.settrace(found)
+    try:
+        result, missed = unreached.unreached_statements(
+            [str(path)], lambda: runpy.run_path(str(path))["called"]())
+        assert sys.gettrace() is found
+    finally:
+        sys.settrace(outer)
+    assert result == 1
+    # the docstring is no statement, and the def lines ran on import
+    assert missed == [f"{path}:8: return 2"]

@@ -108,8 +108,7 @@ class TestEvaluate:
     def test_uniform_logits_oracle(self):
         # zero weights make every logit zero: loss is ln(k) and argmax
         # resolves to class 0 everywhere
-        model = Model([Dense(12, 3, dtype=np.float64)],
-                      dtype=np.float64)
+        model = Model([Dense(12, 3, dtype=np.float64)])
         model.param_layers()[0].W[...] = 0.0
         model.param_layers()[0].b[...] = 0.0
         x = np.random.default_rng(0).random((9, 3, 2, 2))
