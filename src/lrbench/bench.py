@@ -21,6 +21,7 @@ hardware fairly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,8 +37,7 @@ from .groups import (LayerGroupRates, group_lr_at, precompute_features,
                      split_head)
 from .nn import Model, build_cnn, build_mlp, predict
 from .schedule import CosineCycleConfig, lr_at
-from .train import (EpochRecord, PhaseResult, TrainConfig, batches_per_epoch,
-                    evaluate, train_phase)
+from .train import EpochRecord, PhaseResult, TrainConfig, evaluate, train_phase
 
 __all__ = [
     "BenchConfig",
@@ -254,7 +254,7 @@ def run_optimized(cfg: BenchConfig,
     phases = [PhaseResult("range_test", 0, acc0, time.perf_counter() - start)]
 
     sched2 = CosineCycleConfig(
-        eta_max=eta_max, t0=batches_per_epoch(len(train_ds), cfg.train.batch_size),
+        eta_max=eta_max, t0=math.ceil(len(train_ds) / cfg.train.batch_size),
         mult=1)
     train_phase(
         head, train_feats, train_ds.labels, valid_feats, valid_ds.labels,

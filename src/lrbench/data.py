@@ -189,17 +189,11 @@ def split(dataset: Dataset, num: int, den: int, seed: int = 0) -> tuple[Dataset,
 def make_blobs(n_per_class: int = 200, n_classes: int = 3, shape=(3, 8, 8),
                noise: float = 0.08, seed: int = 0) -> Dataset:
     """Separable Gaussian-blob 'images': each class is a fixed random mean
-    pattern plus pixel noise, clipped to [0, 1]."""
+    pattern plus pixel noise, clipped to [0, 1]. Rows come in class order; the
+    generator draws the class means, then all rows' noise in one draw."""
     rng = np.random.default_rng(seed)
     means = rng.uniform(0.25, 0.75, size=(n_classes,) + tuple(shape))
-    images = []
-    labels = []
-    for c in range(n_classes):
-        samples = means[c] + rng.normal(0.0, noise, size=(n_per_class,) + tuple(shape))
-        images.append(np.clip(samples, 0.0, 1.0))
-        labels.append(np.full(n_per_class, c, dtype=np.int64))
-    return Dataset(
-        np.concatenate(images).astype(np.float32),
-        np.concatenate(labels),
-        [f"blob{c}" for c in range(n_classes)],
-    )
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
+    samples = means[labels] + rng.normal(0.0, noise, size=labels.shape + tuple(shape))
+    return Dataset(np.clip(samples, 0.0, 1.0).astype(np.float32), labels,
+                   [f"blob{c}" for c in range(n_classes)])

@@ -57,9 +57,9 @@ class CosineCycleConfig:
 def cosine_lr(t_within: int, cycle_len: int, cfg: CosineCycleConfig) -> float:
     """Rate after ``t_within`` of ``cycle_len`` iterations of one cycle.
 
-    Returns ``eta_min + 0.5 * (eta_max - eta_min) * (1 + cos(pi * t / T))``.
-    The endpoints are returned exactly: ``eta_max`` at ``t_within == 0`` and
-    ``eta_min`` at ``t_within == cycle_len``.
+    Returns ``eta_min + 0.5 * (eta_max - eta_min) * (1 + cos(pi * t / T))``:
+    exactly ``eta_max`` at ``t == 0`` and exactly ``eta_min`` at ``t == T``,
+    whose cosine argument is within rounding of pi, where cos gives -1.0.
     """
     if cycle_len < 1:
         raise ValueError(f"cycle length must be >= 1, got {cycle_len}")
@@ -69,8 +69,6 @@ def cosine_lr(t_within: int, cycle_len: int, cfg: CosineCycleConfig) -> float:
         )
     if t_within == 0:
         return cfg.eta_max
-    if t_within == cycle_len:
-        return cfg.eta_min
     span = cfg.eta_max - cfg.eta_min
     return cfg.eta_min + 0.5 * span * (1.0 + math.cos(math.pi * t_within / cycle_len))
 

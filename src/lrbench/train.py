@@ -22,7 +22,6 @@ __all__ = [
     "TrainConfig",
     "EpochRecord",
     "PhaseResult",
-    "batches_per_epoch",
     "iterate_minibatches",
     "evaluate",
     "train_phase",
@@ -49,10 +48,6 @@ class TrainConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-
-
-def batches_per_epoch(n_samples: int, batch_size: int) -> int:
-    return math.ceil(n_samples / batch_size)
 
 
 def iterate_minibatches(n_samples: int, batch_size: int, rng: np.random.Generator):

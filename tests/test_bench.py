@@ -252,6 +252,18 @@ class TestPipelines:
             sum(p.wall_seconds for p in report.phases))
         assert report.confusion.sum() == 21
 
+    def test_head_phase_restarts_at_the_suggestion_every_epoch(self):
+        # 3 * round(200 * 5/6) = 501 training rows take 16 batches of 32, the
+        # last one short: a cycle one step shorter would restart mid-epoch
+        cfg = tiny_config(train=TrainConfig(max_epochs=1, batch_size=32),
+                          n_per_class=200, blobs_noise=2.0, head_epochs=3,
+                          patience=3)
+        assert len(load_bench_dataset(cfg)[0]) == 501
+        report = run_optimized(cfg)
+        head_rows = [r for r in report.history if r.phase == "head_sgdr"]
+        assert len(head_rows) >= 2
+        assert all(r.lr == report.eta_max for r in head_rows)
+
     def test_conventional_ignores_configured_weight_decay(self):
         # the baseline trains without an L2 penalty whatever train.weight_decay
         # says; a decay of 5.0 would change every loss if it were applied

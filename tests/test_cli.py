@@ -538,7 +538,10 @@ class TestExitCodes:
                  else "n_per_class, finder_batch or batch_size")
         assert err.startswith(f"error: {named} too large to allocate: "
                               "Unable to allocate ")
-        assert f"({value}" in err
+        # blobs allocate their labels first: one per row, 3 classes of
+        # n_per_class rows
+        lead = 3 * int(value) if key == "n_per_class" else int(value)
+        assert f"({lead}," in err
 
     @pytest.mark.parametrize("command", ["lr-find", "benchmark"])
     def test_overflowing_finder_ramp_exits_2(self, tmp_path, capsys, command):

@@ -93,6 +93,19 @@ def drawn_augmentations(n, seed, pad=4):
     return flips.tolist(), offsets.tolist()
 
 
+def blobs_oracle(n_per_class, n_classes, shape, noise, seed):
+    """The per-class recipe make_blobs must reproduce: the class means, then
+    each class's pixel noise in class order, each class clipped on its own."""
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(0.25, 0.75, size=(n_classes,) + tuple(shape))
+    images, labels = [], []
+    for c in range(n_classes):
+        samples = means[c] + rng.normal(0.0, noise, size=(n_per_class,) + tuple(shape))
+        images.append(np.clip(samples, 0.0, 1.0))
+        labels.append(np.full(n_per_class, c, dtype=np.int64))
+    return np.concatenate(images).astype(np.float32), np.concatenate(labels)
+
+
 def find_augment_seed(want_hflip, want_vflip, pad=4):
     """Search for a seed whose one-image draw gives the requested flips and a
     centered crop."""
@@ -261,6 +274,23 @@ class TestMakeBlobs:
         c = make_blobs(seed=6)
         np.testing.assert_array_equal(a.images, b.images)
         assert not np.array_equal(a.images, c.images)
+
+    @pytest.mark.parametrize("n_per_class,n_classes,shape,noise", [
+        *((n, 3, (3, 8, 8), noise) for n in (1, 5, 200)
+          for noise in (0.0, 0.08, 2.0)),
+        (5, 2, (1, 4, 4), 0.08),
+    ])
+    def test_matches_the_per_class_recipe(self, n_per_class, n_classes, shape,
+                                          noise):
+        for seed in range(5):
+            ds = make_blobs(n_per_class=n_per_class, n_classes=n_classes,
+                            shape=shape, noise=noise, seed=seed)
+            images, labels = blobs_oracle(n_per_class, n_classes, shape,
+                                          noise, seed)
+            assert ds.images.dtype == images.dtype
+            assert ds.labels.dtype == labels.dtype
+            np.testing.assert_array_equal(ds.images, images)
+            np.testing.assert_array_equal(ds.labels, labels)
 
     def test_classes_are_linearly_separated_enough(self):
         # class means should differ far more than the noise floor

@@ -14,7 +14,7 @@ from lrbench.data import Dataset, augment_batch, split
 from lrbench.errors import DataError
 from lrbench.finder import RangeTestConfig
 from lrbench.groups import LayerGroupRates
-from lrbench.schedule import CosineCycleConfig, lr_at
+from lrbench.schedule import CosineCycleConfig, cosine_lr, lr_at
 from lrbench.train import TrainConfig
 from test_data import augment_oracle
 from test_schedule import oracle_lr
@@ -44,9 +44,11 @@ class TestLrAtProperties:
 
     @PROPERTY
     @given(schedules(), st.integers(0, 8))
-    def test_every_cycle_start_is_eta_max(self, cfg, k):
+    def test_every_cycle_starts_at_eta_max_and_ends_at_eta_min(self, cfg, k):
         start = sum(cfg.t0 * cfg.mult ** j for j in range(k))
         assert lr_at(start, cfg) == cfg.eta_max
+        length = cfg.t0 * cfg.mult ** k
+        assert cosine_lr(length, length, cfg) == cfg.eta_min
 
 
 class TestSplitProperties:

@@ -9,9 +9,8 @@ from lrbench.errors import ConfigError
 from lrbench.nn import (Dense, Model, build_mlp, forward,
                         softmax_cross_entropy)
 from lrbench import train
-from lrbench.train import (EpochRecord, PhaseResult, TrainConfig,
-                           batches_per_epoch, evaluate, iterate_minibatches,
-                           train_phase)
+from lrbench.train import (EpochRecord, PhaseResult, TrainConfig, evaluate,
+                           iterate_minibatches, train_phase)
 
 
 def blob_setup(seed=0, n_per_class=20):
@@ -83,11 +82,6 @@ class TestEarlyStop:
 
 
 class TestBatches:
-    def test_batches_per_epoch_ceil(self):
-        assert batches_per_epoch(100, 32) == 4
-        assert batches_per_epoch(96, 32) == 3
-        assert batches_per_epoch(1, 32) == 1
-
     def test_minibatches_cover_everything_once(self):
         rng = np.random.default_rng(0)
         seen = np.concatenate(list(iterate_minibatches(50, 8, rng)))
