@@ -73,8 +73,9 @@ class Dense(Layer):
     def __init__(self, in_dim: int, out_dim: int, bias: bool = True,
                  dtype=np.float32, rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
-        scale = math.sqrt(2.0 / in_dim)
-        self.W = (rng.standard_normal((in_dim, out_dim)) * scale).astype(dtype)
+        w = rng.standard_normal((in_dim, out_dim))
+        w *= math.sqrt(2.0 / in_dim)
+        self.W = w.astype(dtype)
         self.b = np.zeros(out_dim, dtype=dtype) if bias else None
         self.params = [self.W] if self.b is None else [self.W, self.b]
         self.grads = [np.zeros_like(p) for p in self.params]
@@ -152,8 +153,9 @@ class Conv2d(Layer):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.ksize = ksize
         self.pad = ksize // 2
-        scale = math.sqrt(2.0 / (in_ch * ksize * ksize))
-        self.W = (rng.standard_normal((out_ch, in_ch, ksize, ksize)) * scale).astype(dtype)
+        w = rng.standard_normal((out_ch, in_ch, ksize, ksize))
+        w *= math.sqrt(2.0 / (in_ch * ksize * ksize))
+        self.W = w.astype(dtype)
         self.b = np.zeros(out_ch, dtype=dtype)
         self.params = [self.W, self.b]
         self.grads = [np.zeros_like(self.W), np.zeros_like(self.b)]

@@ -14,7 +14,8 @@ from lrbench.data import (CIFAR10_MEAN, CIFAR10_STD, Dataset, load_cifar10,
 from lrbench.errors import ConfigError
 from lrbench.finder import RangeTestConfig, write_trace_csv
 from lrbench.groups import precompute_features, split_head
-from lrbench.nn import _BLOCK_ROWS, Conv2d, Dense, forward, train_step
+from lrbench.nn import (_BLOCK_ROWS, Conv2d, Dense, build_cnn, build_mlp,
+                        forward, train_step)
 from lrbench.schedule import CosineCycleConfig
 from lrbench.train import EpochRecord, PhaseResult, TrainConfig, evaluate
 
@@ -104,6 +105,75 @@ class TestBuildModel:
             assert model.dtype == np.float32
             assert all(p.dtype == np.float32
                        for layer in model.param_layers() for p in layer.params)
+
+    @staticmethod
+    def arrays(model):
+        return [a for layer in model.param_layers()
+                for a in (*layer.params, *layer.grads, *layer.vel)]
+
+    @pytest.mark.parametrize("model, builder",
+                             [("mlp", build_mlp), ("cnn", build_cnn)])
+    def test_a_repeated_build_is_a_fresh_one(self, model, builder,
+                                             monkeypatch):
+        monkeypatch.setattr(lrbench.bench, "_built", {})
+        cfg = tiny_config(seed=3, model=model)
+        fresh = self.arrays(builder((3, 8, 8), 3, seed=3))
+        for _ in range(2):  # built, then copied
+            built = self.arrays(build_model(cfg, (3, 8, 8), 3))
+            assert [a.dtype for a in built] == [a.dtype for a in fresh]
+            assert [a.strides for a in built] == [a.strides for a in fresh]
+            assert [a.tobytes() for a in built] == [a.tobytes() for a in fresh]
+
+    @pytest.mark.parametrize("model, builder",
+                             [("mlp", build_mlp), ("cnn", build_cnn)])
+    def test_using_a_built_model_leaves_the_next_build(self, model, builder,
+                                                        monkeypatch):
+        monkeypatch.setattr(lrbench.bench, "_built", {})
+        cfg = tiny_config(model=model)
+        want = [a.tobytes() for a in self.arrays(builder((3, 8, 8), 3))]
+        trained = build_model(cfg, (3, 8, 8), 3)  # built, then kept
+        w_before = trained.param_layers()[0].W.copy()
+        rng = np.random.default_rng(0)
+        train_step(trained, rng.standard_normal((16, 3, 8, 8)),
+                   rng.integers(0, 3, 16), 0.1, momentum=0.9)
+        assert not np.array_equal(trained.param_layers()[0].W, w_before)
+        written = build_model(cfg, (3, 8, 8), 3)  # copied from the kept one
+        for a in self.arrays(written):
+            a[...] = 7.0
+        assert [a.tobytes()
+                for a in self.arrays(build_model(cfg, (3, 8, 8), 3))] == want
+
+    @pytest.mark.parametrize("model", ["mlp", "cnn"])
+    def test_built_models_share_no_array(self, model, monkeypatch):
+        monkeypatch.setattr(lrbench.bench, "_built", {})
+        cfg = tiny_config(model=model)
+        a, b, c = (build_model(cfg, (3, 8, 8), 3) for _ in range(3))
+        for m, n in ((a, b), (b, c)):
+            for x in self.arrays(m):
+                assert not any(np.shares_memory(x, y) for y in self.arrays(n))
+        for layer in (*a.param_layers(), *b.param_layers()):
+            assert layer.params[0] is layer.W
+
+    def test_one_model_is_kept_per_process(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_mlp(*args, **kwargs)
+
+        monkeypatch.setattr(lrbench.bench, "build_mlp", counted)
+        monkeypatch.setattr(lrbench.bench, "_built", {})
+        seed1, seed2 = tiny_config(seed=1), tiny_config(seed=2)
+        build_model(seed1, (3, 8, 8), 3)
+        build_model(seed1, (3, 8, 8), 3)
+        assert len(calls) == 1
+        build_model(seed2, (3, 8, 8), 3)
+        build_model(seed2, (3, 4, 4), 3)
+        build_model(seed2, (3, 4, 4), 4)
+        assert len(calls) == 4
+        build_model(seed1, (3, 8, 8), 3)
+        assert len(calls) == 5
+        assert list(lrbench.bench._built) == [("mlp", (3, 8, 8), 3, 1)]
 
 
 class TestSpeedup:

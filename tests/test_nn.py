@@ -790,3 +790,20 @@ class TestBuilders:
         for layer in model.param_layers():
             for p in layer.params:
                 assert p.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_weights_are_the_scaled_normal_draw(self, dtype):
+        # the layers scale their float64 draw in place before the cast,
+        # which must give the bits of scaling a copy of it
+        for seed in range(5):
+            cases = [(Dense(48, 7, dtype=dtype,
+                            rng=np.random.default_rng(seed)), (48, 7), 48),
+                     (Conv2d(3, 5, 3, dtype=dtype,
+                             rng=np.random.default_rng(seed)), (5, 3, 3, 3),
+                      27)]
+            for layer, shape, fan_in in cases:
+                rng = np.random.default_rng(seed)
+                want = (rng.standard_normal(shape)
+                        * math.sqrt(2.0 / fan_in)).astype(dtype)
+                assert layer.W.dtype == dtype
+                assert layer.W.tobytes() == want.tobytes()
