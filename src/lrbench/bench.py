@@ -20,14 +20,16 @@ hardware fairly.
 
 Building the initial model comes before every phase, so a report leaves it
 out, but a timer around a whole pipeline call includes build_model.
-build_model keeps a copy of the last model it built, so a repeated seed,
-such as the second pipeline of one benchmark, copies its initial model from
-that one-entry cache instead of drawing it again.
+build_model keeps a copy of the last model it built in
+functools.lru_cache(maxsize=1), so a repeated seed, such as the second
+pipeline of one benchmark, copies its initial model from that one-entry
+cache instead of drawing it again.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -140,31 +142,28 @@ def load_bench_dataset(cfg: BenchConfig) -> tuple[Dataset, Dataset]:
     return split(ds, cfg.split_num, cfg.split_den, seed=cfg.train.seed)
 
 
-# A copy of the last model build_model built, under its (model,
-# input_shape, n_classes, seed) key. One entry: a run over many seeds holds
-# one model.
-_built: dict[tuple, Model] = {}
+@functools.lru_cache(maxsize=1)
+def _initial_model(model: str, input_shape: tuple, n_classes: int,
+                   seed: int) -> Model:
+    """A copy of the untrained model for this key whose gradient and
+    velocity buffers are read-only views of one zero: it holds only the
+    parameters, and deepcopy turns each view back into a full zero array.
+    One entry: a run over many seeds keeps one model."""
+    builder = build_mlp if model == "mlp" else build_cnn
+    built = builder(input_shape, n_classes, seed=seed)
+    zeros = {id(a): np.broadcast_to(np.zeros((), a.dtype), a.shape)
+             for layer in built.param_layers()
+             for a in (*layer.grads, *layer.vel)}
+    return copy.deepcopy(built, zeros)
 
 
 def build_model(cfg: BenchConfig, input_shape: tuple, n_classes: int) -> Model:
     """The untrained cfg.model for ``input_shape`` and ``n_classes``, drawn
-    from cfg.train.seed. A copy of the last model built is kept, so a
-    repeated key (both pipelines of one seed) draws its weights once and
-    gets a deep copy; no two models returned share an array."""
-    key = (cfg.model, tuple(input_shape), n_classes, cfg.train.seed)
-    if key in _built:
-        return copy.deepcopy(_built[key])
-    _built.clear()
-    builder = build_mlp if cfg.model == "mlp" else build_cnn
-    model = builder(input_shape, n_classes, seed=cfg.train.seed)
-    # The kept copy is never trained: its gradient and velocity buffers are
-    # read-only views of one zero, which hold no memory, and deepcopy turns
-    # each back into a full zero array.
-    zeros = {id(a): np.broadcast_to(np.zeros((), a.dtype), a.shape)
-             for layer in model.param_layers()
-             for a in (*layer.grads, *layer.vel)}
-    _built[key] = copy.deepcopy(model, zeros)
-    return model
+    from cfg.train.seed. Each call deep-copies the model _initial_model
+    keeps, so a repeated key (both pipelines of one seed) draws its weights
+    once; no two models returned share an array."""
+    return copy.deepcopy(_initial_model(cfg.model, tuple(input_shape),
+                                        n_classes, cfg.train.seed))
 
 
 def predictions(model: Model, x: np.ndarray) -> np.ndarray:

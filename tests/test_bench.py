@@ -113,9 +113,8 @@ class TestBuildModel:
 
     @pytest.mark.parametrize("model, builder",
                              [("mlp", build_mlp), ("cnn", build_cnn)])
-    def test_a_repeated_build_is_a_fresh_one(self, model, builder,
-                                             monkeypatch):
-        monkeypatch.setattr(lrbench.bench, "_built", {})
+    def test_a_repeated_build_is_a_fresh_one(self, model, builder):
+        lrbench.bench._initial_model.cache_clear()
         cfg = tiny_config(seed=3, model=model)
         fresh = self.arrays(builder((3, 8, 8), 3, seed=3))
         for _ in range(2):  # built, then copied
@@ -123,12 +122,17 @@ class TestBuildModel:
             assert [a.dtype for a in built] == [a.dtype for a in fresh]
             assert [a.strides for a in built] == [a.strides for a in fresh]
             assert [a.tobytes() for a in built] == [a.tobytes() for a in fresh]
+        # the kept copy holds only parameters: its gradient and velocity
+        # buffers are read-only views of one zero
+        kept = lrbench.bench._initial_model(model, (3, 8, 8), 3, 3)
+        for layer in kept.param_layers():
+            for a in (*layer.grads, *layer.vel):
+                assert not a.flags.writeable and a.strides == (0,) * a.ndim
 
     @pytest.mark.parametrize("model, builder",
                              [("mlp", build_mlp), ("cnn", build_cnn)])
-    def test_using_a_built_model_leaves_the_next_build(self, model, builder,
-                                                        monkeypatch):
-        monkeypatch.setattr(lrbench.bench, "_built", {})
+    def test_using_a_built_model_leaves_the_next_build(self, model, builder):
+        lrbench.bench._initial_model.cache_clear()
         cfg = tiny_config(model=model)
         want = [a.tobytes() for a in self.arrays(builder((3, 8, 8), 3))]
         trained = build_model(cfg, (3, 8, 8), 3)  # built, then kept
@@ -144,8 +148,8 @@ class TestBuildModel:
                 for a in self.arrays(build_model(cfg, (3, 8, 8), 3))] == want
 
     @pytest.mark.parametrize("model", ["mlp", "cnn"])
-    def test_built_models_share_no_array(self, model, monkeypatch):
-        monkeypatch.setattr(lrbench.bench, "_built", {})
+    def test_built_models_share_no_array(self, model):
+        lrbench.bench._initial_model.cache_clear()
         cfg = tiny_config(model=model)
         a, b, c = (build_model(cfg, (3, 8, 8), 3) for _ in range(3))
         for m, n in ((a, b), (b, c)):
@@ -162,7 +166,7 @@ class TestBuildModel:
             return build_mlp(*args, **kwargs)
 
         monkeypatch.setattr(lrbench.bench, "build_mlp", counted)
-        monkeypatch.setattr(lrbench.bench, "_built", {})
+        lrbench.bench._initial_model.cache_clear()
         seed1, seed2 = tiny_config(seed=1), tiny_config(seed=2)
         build_model(seed1, (3, 8, 8), 3)
         build_model(seed1, (3, 8, 8), 3)
@@ -173,7 +177,9 @@ class TestBuildModel:
         assert len(calls) == 4
         build_model(seed1, (3, 8, 8), 3)
         assert len(calls) == 5
-        assert list(lrbench.bench._built) == [("mlp", (3, 8, 8), 3, 1)]
+        assert lrbench.bench._initial_model.cache_info().currsize == 1
+        build_model(seed1, (3, 8, 8), 3)
+        assert len(calls) == 5
 
 
 class TestSpeedup:

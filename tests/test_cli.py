@@ -7,6 +7,7 @@ import pytest
 
 from lrbench.bench import (BenchConfig, RunReport, build_model,
                            load_bench_dataset)
+import lrbench.bench
 import lrbench.cli
 from lrbench.cli import main, run
 from lrbench.config import (_SCHEMA, CONFIG_KEYS, build_bench_config,
@@ -15,7 +16,7 @@ from lrbench.errors import ConfigError
 from lrbench.finder import (LRFinderTrace, RangeTestConfig, range_test,
                             suggest_lr, write_trace_csv)
 from lrbench.groups import LayerGroupRates, precompute_features, split_head
-from lrbench.nn import NonFiniteLossError
+from lrbench.nn import NonFiniteLossError, build_mlp
 from lrbench.schedule import CosineCycleConfig
 from lrbench.train import PhaseResult
 
@@ -473,6 +474,25 @@ class TestBenchmarkCommand:
                        "n_per_class = 40\nmax_epochs = 2\n")
         assert run(["benchmark", "--config", str(cfg),
                     "--out", str(tmp_path / "out")]) == 0
+
+
+class TestInitialModelDraws:
+    @pytest.mark.parametrize("command", ["benchmark", "lr-find", "train"])
+    def test_a_command_draws_its_initial_model_once(
+            self, tmp_path, tiny_config_file, monkeypatch, command):
+        # the second pipeline of one benchmark copies the model the first
+        # one drew
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_mlp(*args, **kwargs)
+
+        monkeypatch.setattr(lrbench.bench, "build_mlp", counted)
+        lrbench.bench._initial_model.cache_clear()
+        assert run([command, "--config", str(tiny_config_file),
+                    "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
 
 class TestExitCodes:

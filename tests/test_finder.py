@@ -76,7 +76,7 @@ def random_probe_trace(rng, beta):
     return probe_trace(rng.random((64, 4)), rng.integers(0, 3, size=64), beta)
 
 
-class TestSmoothLosses:
+class TestSmoothedColumn:
     """The smoothed column of a range-test trace is the bias-corrected EMA
     of its raw column."""
 
