@@ -13,10 +13,10 @@ Every phase starts from rest (zero momentum velocity) and is timed with a
 monotonic clock: a training phase by train_phase itself, the range-test
 phase from the cache build to its accuracy check. Dataset loading is
 excluded, and a phase skipped because the target was already met counts
-0 epochs and 0 s. Each report also carries its time to target: the wall
-time at which validation accuracy first met the target. One benchmark per
-process; the two pipelines run sequentially so they compete for the same
-hardware fairly.
+0 epochs and 0 s. A report reads its time to any target up to its own
+from its history (RunReport.time_to): the wall time at which validation
+accuracy first met that target. One benchmark per process; the two
+pipelines run sequentially so they compete for the same hardware fairly.
 
 Building the initial model comes before every phase, so a report leaves it
 out, but a timer around a whole pipeline call includes build_model.
@@ -107,13 +107,11 @@ class BenchConfig:
 @dataclass
 class RunReport:
     phases: list[PhaseResult]
-    total_seconds: float
     confusion: np.ndarray
     reached: bool
     history: list[EpochRecord]
     class_names: list[str]
-    target_seconds: float | None = None
-    target_epoch: int | None = None
+    target: float
     eta_max: float | None = None
     finder_trace: LRFinderTrace | None = None
 
@@ -121,6 +119,32 @@ class RunReport:
     def accuracy(self) -> float:
         """Validation accuracy recomputed from the confusion matrix."""
         return float(np.trace(self.confusion)) / float(self.confusion.sum())
+
+    @property
+    def total_seconds(self) -> float:
+        """Wall seconds summed over the phases."""
+        return sum(p.wall_seconds for p in self.phases)
+
+    def time_to(self, target: float) -> tuple[float | None, int | None]:
+        """(seconds, epoch) of the first history row with valid_acc >= target:
+        the wall time of the phases before its phase plus its phase's row
+        seconds up to and including it; (None, None) when no row meets it. A
+        run stops at its own target, so a higher one raises ValueError."""
+        if target > self.target:
+            raise ValueError(f"a run to {self.target} cannot answer {target}")
+        for i, hit in enumerate(self.history):
+            if hit.valid_acc >= target:
+                break
+        else:
+            return None, None
+        seconds = 0.0
+        for phase in self.phases:
+            if phase.name == hit.phase:
+                break
+            seconds += phase.wall_seconds
+        seconds += sum(r.seconds for r in self.history[:i + 1]
+                       if r.phase == hit.phase)
+        return seconds, hit.epoch
 
 
 def load_bench_dataset(cfg: BenchConfig) -> tuple[Dataset, Dataset]:
@@ -182,44 +206,19 @@ def run_range_test(cfg: BenchConfig, head: Model, features: np.ndarray,
                       batch_size=cfg.finder_batch or cfg.train.batch_size)
 
 
-def _time_to_target(phases: list[PhaseResult], history: list[EpochRecord],
-                    target: float) -> tuple[float | None, int | None]:
-    """(seconds, epoch) of the first history row with valid_acc >= target:
-    the wall time of every phase before that row's phase, plus the row
-    seconds of its phase up to and including it. (None, None) when no row
-    meets the target."""
-    for i, hit in enumerate(history):
-        if hit.valid_acc >= target:
-            break
-    else:
-        return None, None
-    seconds = 0.0
-    for phase in phases:
-        if phase.name == hit.phase:
-            break
-        seconds += phase.wall_seconds
-    seconds += sum(r.seconds for r in history[:i + 1] if r.phase == hit.phase)
-    return seconds, hit.epoch
-
-
 def finish_report(model: Model, valid_ds: Dataset, phases: list[PhaseResult],
                   history: list[EpochRecord], target: float,
                   eta_max: float | None = None,
                   finder_trace: LRFinderTrace | None = None) -> RunReport:
     """RunReport of a finished run: the final model's validation confusion
-    matrix, with total_seconds summed over the phases, ``reached`` when the
-    last phase ended at or above ``target`` and the time to ``target`` read
-    from the history."""
+    matrix, with ``reached`` when the last phase ended at or above
+    ``target``."""
     conf = confusion(predictions(model, valid_ds.images), valid_ds.labels,
                      valid_ds.n_classes)
-    target_seconds, target_epoch = _time_to_target(phases, history, target)
-    return RunReport(phases=phases,
-                     total_seconds=sum(p.wall_seconds for p in phases),
-                     confusion=conf,
+    return RunReport(phases=phases, confusion=conf,
                      reached=phases[-1].final_valid_acc >= target,
                      history=history,
-                     class_names=list(valid_ds.class_names),
-                     target_seconds=target_seconds, target_epoch=target_epoch,
+                     class_names=list(valid_ds.class_names), target=target,
                      eta_max=eta_max, finder_trace=finder_trace)
 
 
@@ -379,11 +378,11 @@ def emit_report(report: RunReport, out_dir, prefix: str = "") -> list[Path]:
                      f"  {p.wall_seconds:>#7.4g}\n")
         fh.write(f"total_seconds: {report.total_seconds:#.4g}\n")
         fh.write(f"reached_target: {'yes' if report.reached else 'no'}\n")
-        if report.target_seconds is None:
+        seconds, epoch = report.time_to(report.target)
+        if seconds is None:
             fh.write("time_to_target: not reached\n")
         else:
-            fh.write(f"time_to_target: {report.target_seconds:#.4g} s "
-                     f"(epoch {report.target_epoch})\n")
+            fh.write(f"time_to_target: {seconds:#.4g} s (epoch {epoch})\n")
         fh.write(f"accuracy: {report.accuracy:.4f}\n")
         if report.eta_max is not None:
             fh.write(f"eta_max: {report.eta_max!r}\n")

@@ -148,18 +148,19 @@ def cmd_benchmark(args) -> None:
     for path in emit_report(opt, out, "optimized_"):
         print(f"wrote {path}")
 
-    def to_target(report):
-        seconds = report.target_seconds
+    conv_s, opt_s = (r.time_to(r.target)[0] for r in (conv, opt))
+
+    def to_target(seconds):
         return "none" if seconds is None else f"{seconds:#.4g}s"
 
     print(f"conventional: acc={conv.accuracy:.4f} "
-          f"time={conv.total_seconds:#.4g}s to_target={to_target(conv)} "
+          f"time={conv.total_seconds:#.4g}s to_target={to_target(conv_s)} "
           f"reached={conv.reached}")
     print(f"optimized:    acc={opt.accuracy:.4f} "
-          f"time={opt.total_seconds:#.4g}s to_target={to_target(opt)} "
+          f"time={opt.total_seconds:#.4g}s to_target={to_target(opt_s)} "
           f"reached={opt.reached} eta_max={opt.eta_max!r}")
-    ratio = ("not reached" if None in (conv.target_seconds, opt.target_seconds)
-             else f"{speedup(conv.target_seconds, opt.target_seconds):.2f}")
+    ratio = ("not reached" if None in (conv_s, opt_s)
+             else f"{speedup(conv_s, opt_s):.2f}")
     print(f"time_to_target_ratio: {ratio}")
     print(f"speedup: {speedup(conv, opt):.2f}")
 

@@ -1,14 +1,15 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import lrbench.bench
-from lrbench.bench import (BenchConfig, RunReport, _time_to_target,
-                           build_model, confusion, emit_report,
-                           load_bench_dataset, predictions, run_conventional,
-                           run_optimized, run_range_test, speedup)
+from lrbench.bench import (BenchConfig, RunReport, build_model, confusion,
+                           emit_report, load_bench_dataset, predictions,
+                           run_conventional, run_optimized, run_range_test,
+                           speedup)
 from lrbench.data import (CIFAR10_MEAN, CIFAR10_STD, Dataset, load_cifar10,
                           normalize, split)
 from lrbench.errors import ConfigError
@@ -188,9 +189,11 @@ class TestSpeedup:
 
     def test_reports(self):
         def report(total):
-            return RunReport(phases=[], total_seconds=total,
+            return RunReport(phases=[PhaseResult("p", 1, 1.0, total)],
                              confusion=np.eye(2, dtype=np.int64),
-                             reached=True, history=[], class_names=["a", "b"])
+                             reached=True,
+                             history=[epoch_row(0, "p", 1.0, total)],
+                             class_names=["a", "b"], target=0.9)
         assert speedup(report(6.0), report(3.0)) == 2.0
 
     def test_rejects_nonpositive(self):
@@ -238,9 +241,13 @@ class TestConfusion:
 class TestRunReport:
     def test_accuracy_from_confusion(self):
         conf = np.array([[8, 2], [1, 9]], dtype=np.int64)
-        report = RunReport(phases=[], total_seconds=1.0, confusion=conf,
-                           reached=True, history=[], class_names=["a", "b"])
+        report = RunReport(phases=[], confusion=conf, reached=True,
+                           history=[], class_names=["a", "b"], target=0.9)
         assert report.accuracy == pytest.approx(17 / 20)
+
+
+PIPELINES = pytest.mark.parametrize("run", [run_conventional, run_optimized],
+                                    ids=["conventional", "optimized"])
 
 
 def epoch_row(epoch, phase, valid_acc, seconds):
@@ -258,18 +265,76 @@ class TestTimeToTarget:
                epoch_row(3, "dlr_clm", 0.9375, 0.75),
                epoch_row(4, "dlr_clm", 0.9375, 1.0)]
 
+    def report(self, target, history=HISTORY):
+        return RunReport(phases=self.PHASES,
+                         confusion=np.eye(2, dtype=np.int64),
+                         reached=self.PHASES[-1].final_valid_acc >= target,
+                         history=history, class_names=["a", "b"],
+                         target=target)
+
     def test_hand_built_history(self):
         # earlier phases count whole, the hit's phase up to the hit's row
-        assert _time_to_target(self.PHASES, self.HISTORY, 0.9) == (
-            0.5 + 2.5 + 1.0 + 0.75, 3)
-        assert _time_to_target(self.PHASES, self.HISTORY, 0.5) == (
-            0.5 + 1.0, 0)
-        assert _time_to_target(self.PHASES, self.HISTORY, 0.875) == (
-            0.5 + 2.5 + 1.0, 2)
+        report = self.report(0.9375)
+        assert report.time_to(0.9) == (0.5 + 2.5 + 1.0 + 0.75, 3)
+        assert report.time_to(0.5) == (0.5 + 1.0, 0)
+        assert report.time_to(0.875) == (0.5 + 2.5 + 1.0, 2)
+        assert report.time_to(0.9375) == (0.5 + 2.5 + 1.0 + 0.75, 3)
 
     def test_not_reached(self):
-        assert _time_to_target(self.PHASES, self.HISTORY, 0.95) == (None, None)
-        assert _time_to_target(self.PHASES, [], 0.5) == (None, None)
+        assert self.report(0.95).time_to(0.95) == (None, None)
+        assert self.report(0.95, history=[]).time_to(0.5) == (None, None)
+
+    @staticmethod
+    def rows(report):
+        """The report's history without its seconds column."""
+        return [replace(r, seconds=0.0) for r in report.history]
+
+    def check_lower_target_is_a_prefix(self, run, low, high, **kwargs):
+        # a run stops at its own target, so one to the lower target repeats
+        # the first rows of one to the higher, and both read the same epoch
+        lo = run(tiny_config(target_accuracy=low, **kwargs))
+        hi = run(tiny_config(target_accuracy=high, **kwargs))
+        assert self.rows(hi)[:len(lo.history)] == self.rows(lo)
+        _, epoch = lo.time_to(low)
+        assert epoch is not None
+        assert hi.time_to(low)[1] == epoch
+
+    @staticmethod
+    def noisy_blobs(seed):
+        # low rates on noisy blobs: no phase meets 0.99 within 6 epochs
+        return dict(train=TrainConfig(max_epochs=6, batch_size=16, seed=seed),
+                    patience=6, blobs_noise=0.3, lr1=0.002, lr2=0.001)
+
+    @PIPELINES
+    def test_a_lower_target_reads_the_same_run_on_blobs(self, run):
+        for seed in range(4):
+            self.check_lower_target_is_a_prefix(
+                run, 0.7, 0.99, **self.noisy_blobs(seed))
+
+    @PIPELINES
+    @pytest.mark.parametrize("model", ["mlp", "cnn"])
+    def test_a_lower_target_reads_the_same_run_on_cifar(self, tmp_path, model,
+                                                        run):
+        # six records per class whose pixels lean with the label, so that
+        # every pipeline meets 0.3 on the 10 validation rows after epoch 0
+        rng = np.random.default_rng(3)
+        labels = rng.permutation(np.repeat(np.arange(10, dtype=np.uint8), 6))
+        pixels = rng.integers(0, 128, size=(60, 3072)) + 12 * labels[:, None]
+        path = tmp_path / "data_batch_1.bin"
+        np.concatenate([labels[:, None], pixels.astype(np.uint8)],
+                       axis=1).tofile(path)
+        self.check_lower_target_is_a_prefix(
+            run, 0.3, 0.99, dataset=f"cifar10:{path}", n_per_class=6,
+            model=model, patience=4,
+            train=TrainConfig(max_epochs=4, batch_size=16, augment=True))
+
+    @PIPELINES
+    def test_a_blobs_report_answers_up_to_its_own_target(self, run):
+        report = run(tiny_config(target_accuracy=0.7, **self.noisy_blobs(0)))
+        with pytest.raises(ValueError, match="0.9"):
+            report.time_to(0.9)
+        seconds, epoch = report.time_to(0.7)
+        assert epoch is not None and 0 < seconds <= report.total_seconds
 
     def test_conventional_phase_one_meets_target_before_its_budget(self):
         # noisy blobs at a low rate: phase 1 first meets 0.6 at epoch 2 and
@@ -282,27 +347,26 @@ class TestTimeToTarget:
                      if r.valid_acc >= cfg.target_accuracy)
         assert first.phase == "fixed_lr1"
         assert report.phases[0].epochs_run == 8
-        assert report.target_epoch == first.epoch < 7
-        assert report.target_seconds == pytest.approx(
+        seconds, epoch = report.time_to(cfg.target_accuracy)
+        assert epoch == first.epoch < 7
+        assert seconds == pytest.approx(
             sum(r.seconds for r in report.history[:first.epoch + 1]))
-        assert report.target_seconds < report.phases[0].wall_seconds
+        assert seconds < report.phases[0].wall_seconds
 
     def test_summary_line(self, tmp_path):
-        report = RunReport(phases=self.PHASES, total_seconds=6.0,
-                           confusion=np.eye(2, dtype=np.int64), reached=True,
-                           history=self.HISTORY, class_names=["a", "b"],
-                           target_seconds=4.75, target_epoch=3)
+        report = self.report(0.9)
         *_, summary = emit_report(report, tmp_path)
         text = summary.read_text()
         assert "time_to_target: 4.750 s (epoch 3)\n" in text
         # every time in four significant digits
         assert text.splitlines()[2].endswith("  2.500")
         assert "total_seconds: 6.000\n" in text
-        report.target_seconds = 0.004412
-        *_, summary = emit_report(report, tmp_path)
+        short = replace(report,
+                        phases=[PhaseResult("dlr_clm", 1, 0.9375, 0.004412)],
+                        history=[epoch_row(3, "dlr_clm", 0.9375, 0.004412)])
+        *_, summary = emit_report(short, tmp_path)
         assert "time_to_target: 0.004412 s (epoch 3)\n" in summary.read_text()
-        report.target_seconds = report.target_epoch = None
-        *_, summary = emit_report(report, tmp_path)
+        *_, summary = emit_report(self.report(0.95), tmp_path)
         assert "time_to_target: not reached\n" in summary.read_text()
 
 

@@ -18,7 +18,7 @@ from lrbench.finder import (LRFinderTrace, RangeTestConfig, range_test,
 from lrbench.groups import LayerGroupRates, precompute_features, split_head
 from lrbench.nn import NonFiniteLossError, build_mlp
 from lrbench.schedule import CosineCycleConfig
-from lrbench.train import PhaseResult
+from lrbench.train import EpochRecord, PhaseResult
 
 TINY_CONFIG = """\
 # desk-scale smoke config
@@ -377,14 +377,16 @@ class TestBenchmarkCommand:
     def test_prints_the_time_to_target_ratio(
             self, tmp_path, tiny_config_file, capsys, monkeypatch, conv_s,
             opt_s, fields, ratio):
-        def stub(total_seconds, target_seconds):
-            phases = [PhaseResult("p", 1, 0.5, total_seconds)]
+        def stub(total_seconds, seconds_to_target):
+            # one epoch, which meets the target in seconds_to_target or ends
+            # below it
+            acc = 0.25 if seconds_to_target is None else 0.5
+            row = EpochRecord(0, "p", 0.1, 1.0, 1.0, acc,
+                              seconds_to_target or total_seconds)
             return lambda cfg, data, history: RunReport(
-                phases=phases, total_seconds=total_seconds,
-                confusion=np.eye(2, dtype=np.int64),
-                reached=target_seconds is not None, history=[],
-                class_names=["a", "b"], target_seconds=target_seconds,
-                target_epoch=None if target_seconds is None else 0)
+                phases=[PhaseResult("p", 1, acc, total_seconds)],
+                confusion=np.eye(2, dtype=np.int64), reached=acc >= 0.5,
+                history=[row], class_names=["a", "b"], target=0.5)
 
         monkeypatch.setattr(lrbench.cli, "run_conventional", stub(8.0, conv_s))
         monkeypatch.setattr(lrbench.cli, "run_optimized", stub(2.0, opt_s))

@@ -48,18 +48,18 @@ class TestGroupPartition:
             assert 0 < sizes[0] <= sizes[1]
 
 
-class TestPartitionLayers:
+class TestParamGroups:
     def test_too_few_param_layers(self):
         model = Model([Dense(4, 4), ReLU(), Dense(4, 2)])
         with pytest.raises(ShapeError, match="at least 3"):
             model.param_groups()
 
-    def test_default_partition_mlp_head_alone(self):
+    def test_mlp_head_alone(self):
         model = build_mlp((3, 8, 8), 3)
         assert group_sizes(model) == (1, 1, 1)
         assert model.param_groups()[2] == [model.layers[-1]]
 
-    def test_default_partition_cnn_head_alone(self):
+    def test_cnn_head_alone(self):
         model = build_cnn((3, 8, 8), 3)
         assert group_sizes(model) == (1, 2, 1)
         assert model.param_groups()[2] == [model.layers[-1]]

@@ -128,8 +128,8 @@ def test_set_names_hold_no_space():
 
 def test_report_outputs_take_the_finder_trace_from_the_report():
     trace = LRFinderTrace([(1e-3, 2.0, 2.0), (1e-2, 1.5, 1.7)], "completed")
-    fields = dict(phases=[], total_seconds=1.0, confusion=np.eye(2, dtype=int),
-                  reached=True, history=[], class_names=["a", "b"])
+    fields = dict(phases=[], confusion=np.eye(2, dtype=int), reached=True,
+                  history=[], class_names=["a", "b"], target=0.9)
     conventional = seeded_outputs.report_outputs(RunReport(**fields))
     optimized = seeded_outputs.report_outputs(
         RunReport(**fields, eta_max=1e-3, finder_trace=trace))
