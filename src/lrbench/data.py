@@ -61,12 +61,17 @@ class Dataset:
 
 
 def normalize(images: np.ndarray, mean, std) -> np.ndarray:
-    """Per-channel (x - mean) / std for (n, c, h, w) images."""
+    """Per-channel (x - mean) / std for (n, c, h, w) images, as a new array;
+    ``images`` is left unchanged."""
     mean = np.asarray(mean, dtype=images.dtype)
     std = np.asarray(std, dtype=images.dtype)
     if np.any(std <= 0):
         raise ValueError("std components must be > 0")
-    return (images - mean[None, :, None, None]) / std[None, :, None, None]
+    out = images - mean[None, :, None, None]
+    # in place: with a broadcast std, `/` would allocate a second array the
+    # size of the dataset
+    out /= std[None, :, None, None]
+    return out
 
 
 def augment_batch(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:

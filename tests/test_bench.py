@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -68,13 +69,18 @@ class TestLoadBenchDataset:
         assert len(va) == 21
         assert tr.n_classes == 3
 
-    def test_cifar_file_is_normalized_then_split(self, tmp_path):
+    @staticmethod
+    def cifar_file(tmp_path):
         # six valid 3073-byte records per class: a label byte, then pixels
         rng = np.random.default_rng(3)
         labels = rng.permutation(np.repeat(np.arange(10, dtype=np.uint8), 6))
         pixels = rng.integers(0, 256, size=(60, 3072), dtype=np.uint8)
         path = tmp_path / "data_batch_1.bin"
         np.concatenate([labels[:, None], pixels], axis=1).tofile(path)
+        return path
+
+    def test_cifar_file_is_normalized_then_split(self, tmp_path):
+        path = self.cifar_file(tmp_path)
         cfg = tiny_config(dataset=f"cifar10:{path}", n_per_class=6)
         raw = load_cifar10(path, 6)
         expected = split(
@@ -86,6 +92,19 @@ class TestLoadBenchDataset:
             assert np.array_equal(got.images, want.images)
             assert np.array_equal(got.labels, want.labels)
             assert got.class_names == want.class_names
+
+    def test_cifar_set_up_holds_two_float_copies(self, tmp_path):
+        path = self.cifar_file(tmp_path)
+        cfg = tiny_config(dataset=f"cifar10:{path}", n_per_class=6)
+        # numpy reports its data buffers to tracemalloc, so the peak repeats
+        tracemalloc.start()
+        try:
+            train, valid = load_bench_dataset(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the scaled images and their split; a third copy reads 3x
+        assert peak <= 2.5 * (train.images.nbytes + valid.images.nbytes)
 
     def test_cifar_spec_needs_path(self):
         with pytest.raises(ConfigError, match="cifar10:PATH"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,24 @@ class TestNormalize:
     def test_zero_std_rejected(self):
         with pytest.raises(ValueError):
             normalize(np.zeros((1, 3, 2, 2)), (0, 0, 0), (1, 0, 1))
+
+    def test_writes_one_array_the_size_of_its_input(self):
+        x = np.random.default_rng(2).random((60, 3, 32, 32), dtype=np.float32)
+        before = x.copy()
+        mean, std = (0.4914, 0.4822, 0.4465), (0.2023, 0.1994, 0.2010)
+        # numpy reports its data buffers to tracemalloc, so the peak repeats
+        tracemalloc.start()
+        try:
+            out = normalize(x, mean, std)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes
+        m = np.asarray(mean, np.float32)[None, :, None, None]
+        s = np.asarray(std, np.float32)[None, :, None, None]
+        want = (x - m) / s
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+        assert np.array_equal(x, before)
 
 
 def augment_oracle(image, hflip, vflip, oy, ox, pad=4):

@@ -33,7 +33,7 @@ class TestLayerGroupRates:
         assert (rates.initial, rates.mid, rates.final) == (0.01, 0.01, 0.01)
 
 
-class TestGroupPartition:
+class TestParamGroups:
     def test_group_of_boundaries(self):
         model = Model([Dense(4, 4) for _ in range(8)])
         layers = model.param_layers()
@@ -47,8 +47,6 @@ class TestGroupPartition:
             assert sizes == ((n - 1) // 2, n - 1 - (n - 1) // 2, 1)
             assert 0 < sizes[0] <= sizes[1]
 
-
-class TestParamGroups:
     def test_too_few_param_layers(self):
         model = Model([Dense(4, 4), ReLU(), Dense(4, 2)])
         with pytest.raises(ShapeError, match="at least 3"):
