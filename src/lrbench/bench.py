@@ -225,26 +225,25 @@ def finish_report(model: Model, valid_ds: Dataset, phases: list[PhaseResult],
 def run_conventional(cfg: BenchConfig,
                      data: tuple[Dataset, Dataset] | None = None,
                      history: list[EpochRecord] | None = None) -> RunReport:
-    """Fixed-rate baseline: lr1 until early stopping, then lr2 until early
-    stopping or the accuracy target. The target is only checked in the second
-    phase; if the first already met it, train_phase skips the second (0
-    epochs). No L2 penalty here, that belongs to the optimized scheme.
-    Epochs are appended to ``history`` as they finish, so a caller that
-    passes a list keeps them when a phase diverges."""
+    """Fixed-rate baseline on seed streams 1 and 2: lr1 until early stopping,
+    then lr2 until early stopping or the accuracy target. The target is only
+    checked in the second phase; if the first already met it, train_phase
+    skips the second (0 epochs). No L2 penalty here, that belongs to the
+    optimized scheme. Epochs are appended to ``history`` as they finish, so a
+    caller that passes a list keeps them when a phase diverges."""
     train_ds, valid_ds = data if data is not None else load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
     train_cfg = replace(cfg.train, weight_decay=0.0)
-    phases: list[PhaseResult] = []
     history = [] if history is None else history
-    train_phase(
+    phases = [train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
-        phase_name="fixed_lr1", phases=phases, lr_fn=lambda t: cfg.lr1,
-        cfg=train_cfg, history=history, patience=cfg.patience)
-    train_phase(
+        phase_name="fixed_lr1", stream=1, lr_fn=lambda t: cfg.lr1,
+        cfg=train_cfg, history=history, patience=cfg.patience)]
+    phases.append(train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
-        phase_name="fixed_lr2", phases=phases, lr_fn=lambda t: cfg.lr2,
+        phase_name="fixed_lr2", stream=2, lr_fn=lambda t: cfg.lr2,
         cfg=train_cfg, history=history, patience=cfg.patience,
-        target_accuracy=cfg.target_accuracy)
+        target_accuracy=cfg.target_accuracy))
     return finish_report(model, valid_ds, phases, history, cfg.target_accuracy)
 
 
@@ -262,8 +261,8 @@ def run_optimized(cfg: BenchConfig,
     which equals the full model's. Validation accuracy is checked
     after every epoch in phases 2 and 3; reaching the target ends the
     pipeline: train_phase skips phase 3 (0 epochs) after a head that
-    already meets it. Phases 2 and 3 draw seed streams 2 and 3. Epochs are
-    appended to ``history`` as in run_conventional.
+    already meets it. Phases 2 and 3 draw seed streams 2 and 3, and stream 1
+    is unused. Epochs are appended to ``history`` as in run_conventional.
 
     Raises NoDescentFound if the range test yields no usable suggestion.
     """
@@ -283,19 +282,17 @@ def run_optimized(cfg: BenchConfig,
     sched2 = CosineCycleConfig(
         eta_max=eta_max, t0=math.ceil(len(train_ds) / cfg.train.batch_size),
         mult=1)
-    train_phase(
+    phases.append(train_phase(
         head, train_feats, train_ds.labels, valid_feats, valid_ds.labels,
-        phase_name="head_sgdr", phases=phases,
-        lr_fn=lambda t: lr_at(t, sched2),
+        phase_name="head_sgdr", stream=2, lr_fn=lambda t: lr_at(t, sched2),
         cfg=replace(cfg.train, augment=False, max_epochs=cfg.head_epochs),
         history=history, patience=cfg.patience,
-        target_accuracy=cfg.target_accuracy)
-    train_phase(
+        target_accuracy=cfg.target_accuracy))
+    phases.append(train_phase(
         model, train_ds.images, train_ds.labels, valid_ds.images, valid_ds.labels,
-        phase_name="dlr_clm", phases=phases,
-        lr_fn=lambda t: group_lr_at(t, cfg.rates, cfg.sched), cfg=cfg.train,
-        history=history, patience=cfg.patience,
-        target_accuracy=cfg.target_accuracy)
+        phase_name="dlr_clm", stream=3, cfg=cfg.train, history=history,
+        lr_fn=lambda t: group_lr_at(t, cfg.rates, cfg.sched),
+        patience=cfg.patience, target_accuracy=cfg.target_accuracy))
     return finish_report(model, valid_ds, phases, history, cfg.target_accuracy,
                          eta_max, trace)
 

@@ -113,15 +113,14 @@ def cmd_train(args) -> None:
     cfg = _bench_config(args)
     train_ds, valid_ds = load_bench_dataset(cfg)
     model = build_model(cfg, train_ds.images.shape[1:], train_ds.n_classes)
-    phases, history = [], []
+    history = []
     with _keeping_history(_out_dir(args) / "history.csv", history):
         phase = train_phase(
             model, train_ds.images, train_ds.labels, valid_ds.images,
-            valid_ds.labels, phase_name="sgdr", phases=phases,
-            lr_fn=lambda t: lr_at(t, cfg.sched), cfg=cfg.train,
-            history=history, patience=cfg.patience,
-            target_accuracy=cfg.target_accuracy)
-    report = finish_report(model, valid_ds, phases, history,
+            valid_ds.labels, phase_name="sgdr", stream=1, cfg=cfg.train,
+            lr_fn=lambda t: lr_at(t, cfg.sched), history=history,
+            patience=cfg.patience, target_accuracy=cfg.target_accuracy)
+    report = finish_report(model, valid_ds, [phase], history,
                            cfg.target_accuracy)
     for path in emit_report(report, _out_dir(args)):
         print(f"wrote {path}")

@@ -42,11 +42,10 @@ def _finite_or_inf(value) -> float:
     return number
 
 
-# key -> (caster, destination, field). The destination is the BenchConfig
-# part that receives the value ("train", "sched", "rates", "finder") or
-# "bench" for a BenchConfig field; this doubles as the list of documented
-# config keys.
-_SCHEMA = {
+# key -> (caster, destination, field), one entry per documented config key.
+# The destination is the BenchConfig part that receives the value ("train",
+# "sched", "rates", "finder") or "bench" for a BenchConfig field.
+CONFIG_KEYS = {
     "dataset": (str, "bench", "dataset"),
     "model": (str, "bench", "model"),
     "seed": (int, "train", "seed"),
@@ -78,9 +77,6 @@ _SCHEMA = {
     "split_num": (int, "bench", "split_num"),
     "split_den": (int, "bench", "split_den"),
 }
-
-# key -> caster
-CONFIG_KEYS = {key: caster for key, (caster, _, _) in _SCHEMA.items()}
 
 
 def parse_config_file(path) -> dict:
@@ -119,9 +115,9 @@ def build_bench_config(raw: dict | None = None, overrides: dict | None = None
     parts: dict = {part: {} for part in ("train", "sched", "rates", "finder",
                                          "bench")}
     for key, value in merged.items():
-        if key not in _SCHEMA:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        caster, part, name = _SCHEMA[key]
+        caster, part, name = CONFIG_KEYS[key]
         try:
             parts[part][name] = caster(value)
         except ValueError as err:

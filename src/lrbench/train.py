@@ -1,7 +1,7 @@
 """Training loop: epochs over shuffled mini-batches, per-step learning rates
 from a caller-supplied function, early stopping on validation accuracy.
 
-Phase k of a run is seeded through np.random.SeedSequence([seed, k, epoch]),
+A phase draws the stream k its caller passes: SeedSequence([seed, k, epoch]),
 so a run is reproducible from its config alone, no matter what ran before it.
 """
 
@@ -89,13 +89,13 @@ class PhaseResult:
 
 
 def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
-                phase_name: str, phases: list[PhaseResult], lr_fn,
-                cfg: TrainConfig, history: list[EpochRecord], patience: int,
+                phase_name: str, stream: int, lr_fn, cfg: TrainConfig,
+                history: list[EpochRecord], patience: int,
                 target_accuracy: float | None = None) -> PhaseResult:
-    """Run phase k = len(phases) + 1 of a run from rest (velocities zeroed),
-    shuffling and augmenting from SeedSequence([cfg.seed, k, epoch]); its
-    PhaseResult, timed from call to return, is appended to ``phases`` and
-    returned. If the history's last row already meets target_accuracy, the
+    """Run one phase of a run from rest (velocities zeroed), shuffling and
+    augmenting from SeedSequence([cfg.seed, stream, epoch]), where the
+    caller picks the stream; return its PhaseResult, timed from call to
+    return. If the history's last row already meets target_accuracy, the
     phase is skipped: PhaseResult(phase_name, 0, that row's valid_acc, 0.0).
 
     lr_fn maps the phase's iteration counter, which starts at 0 and runs on
@@ -114,8 +114,7 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
     """
     if (target_accuracy is not None and history
             and history[-1].valid_acc >= target_accuracy):
-        phases.append(PhaseResult(phase_name, 0, history[-1].valid_acc, 0.0))
-        return phases[-1]
+        return PhaseResult(phase_name, 0, history[-1].valid_acc, 0.0)
     phase_start = time.perf_counter()
     model.zero_velocity()
     first_row = len(history)
@@ -125,7 +124,7 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
     for epoch in range(cfg.max_epochs):
         start_time = time.perf_counter()
         rng = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, len(phases) + 1, epoch]))
+            np.random.SeedSequence([cfg.seed, stream, epoch]))
         loss_sum = 0.0
         epoch_lr = None
         for idx in iterate_minibatches(len(train_x), cfg.batch_size, rng):
@@ -153,7 +152,5 @@ def train_phase(model: Model, train_x, train_y, valid_x, valid_y, *,
             stale_epochs += 1
             if stale_epochs > patience:
                 break
-    phases.append(PhaseResult(phase_name, len(history) - first_row,
-                              history[-1].valid_acc,
-                              time.perf_counter() - phase_start))
-    return phases[-1]
+    return PhaseResult(phase_name, len(history) - first_row,
+                       history[-1].valid_acc, time.perf_counter() - phase_start)

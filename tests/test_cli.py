@@ -10,8 +10,7 @@ from lrbench.bench import (BenchConfig, RunReport, build_model,
 import lrbench.bench
 import lrbench.cli
 from lrbench.cli import main, run
-from lrbench.config import (_SCHEMA, CONFIG_KEYS, build_bench_config,
-                            parse_config_file)
+from lrbench.config import CONFIG_KEYS, build_bench_config, parse_config_file
 from lrbench.errors import ConfigError
 from lrbench.finder import (LRFinderTrace, RangeTestConfig, range_test,
                             suggest_lr, write_trace_csv)
@@ -159,7 +158,7 @@ class TestBuildBenchConfig:
             build_bench_config({"finder_divergence": "nan"})
 
     def test_every_key_has_a_caster(self):
-        for key, caster in CONFIG_KEYS.items():
+        for key, (caster, _, _) in CONFIG_KEYS.items():
             assert callable(caster), key
 
     def test_schema_sets_each_config_field_once(self):
@@ -174,7 +173,7 @@ class TestBuildBenchConfig:
                 leaves += [(f.name, g.name) for g in fields(value)]
             else:
                 leaves.append(("bench", f.name))
-        pairs = [(part, name) for _, part, name in _SCHEMA.values()]
+        pairs = [(part, name) for _, part, name in CONFIG_KEYS.values()]
         assert sorted(pairs) == sorted(leaves)
 
 

@@ -110,7 +110,7 @@ class TestCycleLength:
             assert lr_at(restart - 1, cfg) == cosine_lr(length - 1, length, cfg)
 
 
-class TestLocate:
+class TestLrAt:
     def test_origin(self):
         assert lr_at(0, CosineCycleConfig(eta_max=1, t0=100)) == 1
 
@@ -132,8 +132,6 @@ class TestLocate:
             k, tw = oracle_locate(t, cfg)
             assert lr_at(t, cfg) == cosine_lr(tw, cfg.t0 * cfg.mult ** k, cfg)
 
-
-class TestLrAt:
     def test_restart_values(self):
         cfg = CosineCycleConfig(eta_max=0.01, t0=100)
         assert lr_at(0, cfg) == 0.01

@@ -47,7 +47,7 @@ def scripted_phase(monkeypatch, accuracies, history=None, **stopping):
     model, ds = blob_setup(n_per_class=2)
     result = train_phase(
         model, ds.images, ds.labels, ds.images, ds.labels,
-        phase_name="p", phases=[], lr_fn=lambda t: 0.0,
+        phase_name="p", stream=1, lr_fn=lambda t: 0.0,
         cfg=TrainConfig(max_epochs=len(accuracies)),
         history=[] if history is None else history, **stopping)
     return result.epochs_run
@@ -129,7 +129,7 @@ class TestTrainPhase:
         cfg = TrainConfig(batch_size=16, seed=0, max_epochs=5)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phases=[], lr_fn=lambda t: 0.05, cfg=cfg,
+            phase_name="p", stream=1, lr_fn=lambda t: 0.05, cfg=cfg,
             history=[], patience=cfg.max_epochs)
         assert result.epochs_run == 5
         assert result.final_valid_acc > 0.9
@@ -141,7 +141,7 @@ class TestTrainPhase:
             cfg = TrainConfig(batch_size=8, seed=3, max_epochs=3)
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                        phase_name="p", phases=[], lr_fn=lambda t: 0.02,
+                        phase_name="p", stream=1, lr_fn=lambda t: 0.02,
                         cfg=cfg, history=history, patience=cfg.max_epochs)
             histories.append([(r.train_loss, r.valid_loss, r.valid_acc)
                               for r in history])
@@ -152,7 +152,7 @@ class TestTrainPhase:
         cfg = TrainConfig(batch_size=16, seed=0, max_epochs=50)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phases=[], lr_fn=lambda t: 0.05, cfg=cfg,
+            phase_name="p", stream=1, lr_fn=lambda t: 0.05, cfg=cfg,
             history=[], patience=cfg.max_epochs, target_accuracy=0.95)
         assert result.epochs_run < 50
         assert result.final_valid_acc >= 0.95
@@ -163,7 +163,7 @@ class TestTrainPhase:
         # zero learning rate: accuracy never moves after the first epoch
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phases=[], lr_fn=lambda t: 0.0, cfg=cfg,
+            phase_name="p", stream=1, lr_fn=lambda t: 0.0, cfg=cfg,
             history=[], target_accuracy=0.95, patience=1)
         assert result.epochs_run == 3  # first improves, then patience+1 plateaus
         assert result.final_valid_acc < 0.95
@@ -171,18 +171,16 @@ class TestTrainPhase:
     def test_result_matches_history(self):
         model, ds = blob_setup()
         cfg = TrainConfig(batch_size=16, seed=0, max_epochs=50)
-        phases, history = [], []
+        history = []
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                    phase_name="warm", phases=phases, lr_fn=lambda t: 0.01,
+                    phase_name="warm", stream=1, lr_fn=lambda t: 0.01,
                     cfg=replace(cfg, max_epochs=2), history=history,
                     patience=cfg.max_epochs)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phases=phases, lr_fn=lambda t: 0.05, cfg=cfg,
+            phase_name="p", stream=2, lr_fn=lambda t: 0.05, cfg=cfg,
             history=history, patience=cfg.max_epochs, target_accuracy=0.95)
         rows = history[2:]
-        assert [p.name for p in phases] == ["warm", "p"]
-        assert phases[-1] is result
         assert result.name == "p"
         assert result.epochs_run == len(rows) > 0
         assert result.final_valid_acc == rows[-1].valid_acc
@@ -200,7 +198,7 @@ class TestTrainPhase:
             cfg = TrainConfig(batch_size=16, seed=4, max_epochs=2)
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                        phase_name="p", phases=[], lr_fn=lambda t: 0.02,
+                        phase_name="p", stream=1, lr_fn=lambda t: 0.02,
                         cfg=cfg, history=history, patience=cfg.max_epochs)
             histories.append([(r.train_loss, r.valid_loss, r.valid_acc)
                               for r in history])
@@ -216,7 +214,7 @@ class TestTrainPhase:
             return 0.01
 
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                    phase_name="p", phases=[], lr_fn=lr_fn, cfg=cfg,
+                    phase_name="p", stream=1, lr_fn=lr_fn, cfg=cfg,
                     history=[], patience=cfg.max_epochs)
         assert seen == list(range(3 * 4))
 
@@ -225,10 +223,11 @@ class TestTrainPhase:
         # phase appending to it numbers on from the first
         model, ds = blob_setup()
         cfg = TrainConfig(batch_size=16, seed=0)
-        phases, history = [], []
-        for name, lr, epochs in (("warm", 0.03, 2), ("cool", 0.01, 3)):
+        history = []
+        for name, stream, lr, epochs in (("warm", 1, 0.03, 2),
+                                         ("cool", 2, 0.01, 3)):
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                        phase_name=name, phases=phases,
+                        phase_name=name, stream=stream,
                         lr_fn=lambda t, lr=lr: lr,
                         cfg=replace(cfg, max_epochs=epochs), history=history,
                         patience=cfg.max_epochs)
@@ -243,10 +242,20 @@ class TestTrainPhase:
         cfg = TrainConfig(batch_size=16, seed=0, max_epochs=1)
         history = []
         train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                    phase_name="p", phases=[],
+                    phase_name="p", stream=1,
                     lr_fn=lambda t: (1e-4, 1e-3, 1e-2), cfg=cfg,
                     history=history, patience=cfg.max_epochs)
         assert history[0].lr == 1e-2
+
+    def test_draws_the_stream_it_is_passed(self, epoch_seeds):
+        # the stream is the caller's choice, not the phase's position in a
+        # run: stream 3 on an empty history still draws [seed, 3, epoch]
+        model, ds = blob_setup(seed=7)
+        cfg = TrainConfig(seed=7, max_epochs=2)
+        train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
+                    phase_name="p", stream=3, lr_fn=lambda t: 0.02, cfg=cfg,
+                    history=[], patience=cfg.max_epochs)
+        assert epoch_seeds == [[7, 3, 0], [7, 3, 1]]
 
     def test_augmentation_changes_training_stream(self):
         losses = []
@@ -256,15 +265,13 @@ class TestTrainPhase:
                               max_epochs=1)
             history = []
             train_phase(model, ds.images, ds.labels, ds.images, ds.labels,
-                        phase_name="p", phases=[], lr_fn=lambda t: 0.02,
+                        phase_name="p", stream=1, lr_fn=lambda t: 0.02,
                         cfg=cfg, history=history, patience=cfg.max_epochs)
             losses.append(history[0].train_loss)
         assert losses[0] != losses[1]
 
 
 class TestSkipWhenMet:
-    EARLIER = PhaseResult("earlier", 3, 0.9, 1.5)
-
     def met_history(self):
         return [EpochRecord(epoch=0, phase="earlier", lr=0.1, train_loss=1.0,
                             valid_loss=1.0, valid_acc=0.9, seconds=0.5)]
@@ -278,14 +285,13 @@ class TestSkipWhenMet:
         for layer in model.param_layers():
             for v in layer.vel:
                 v[...] = 0.5
-        phases, history = [self.EARLIER], self.met_history()
+        history = self.met_history()
         cfg = TrainConfig()
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phases=phases, lr_fn=never, cfg=cfg,
+            phase_name="p", stream=2, lr_fn=never, cfg=cfg,
             history=history, patience=cfg.max_epochs, target_accuracy=0.9)
         assert result == PhaseResult("p", 0, 0.9, 0.0)
-        assert phases == [self.EARLIER, result]
         assert history == self.met_history()
         assert all((v == 0.5).all() for layer in model.param_layers()
                    for v in layer.vel)
@@ -298,13 +304,12 @@ class TestSkipWhenMet:
     def test_phase_without_a_met_target_runs(self, target, rows):
         model, ds = blob_setup(n_per_class=2)
         steps = []
-        phases, history = [self.EARLIER], self.met_history()[:rows]
+        history = self.met_history()[:rows]
         cfg = TrainConfig(max_epochs=1)
         result = train_phase(
             model, ds.images, ds.labels, ds.images, ds.labels,
-            phase_name="p", phases=phases,
+            phase_name="p", stream=2,
             lr_fn=lambda t: steps.append(t) or 0.01, cfg=cfg,
             history=history, patience=cfg.max_epochs, target_accuracy=target)
         assert result.epochs_run == 1 and steps == [0]
-        assert phases == [self.EARLIER, result]
         assert [r.phase for r in history] == ["earlier"] * rows + ["p"]
